@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/u64table -run='^$$' -fuzz=FuzzTable -fuzztime=20s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s
 	$(GO) test ./internal/btb -run='^$$' -fuzz=FuzzHierarchy -fuzztime=20s
+	$(GO) test ./internal/twigopt -run='^$$' -fuzz=FuzzAnalyzeEquivalence -fuzztime=20s
 
 # cover writes coverage.out and prints the per-function summary.
 cover:

@@ -26,6 +26,7 @@ import (
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
 	"twig/internal/trace"
+	"twig/internal/twigopt"
 	"twig/internal/workload"
 )
 
@@ -372,6 +373,38 @@ func BenchmarkTraceReplayBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTwigoptAnalyze measures one §3 analysis, twigopt.Analyze
+// alone, on cassandra's training profile at the experiments' default
+// operating point (1M-instruction window, paper analysis parameters).
+// Run it with -benchmem for the per-call allocations.
+func BenchmarkTwigoptAnalyze(b *testing.B) {
+	opts := experiments.NewContext(io.Discard, 1_000_000).Opts
+	params, err := workload.ParamsFor(workload.Cassandra)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := workload.Build(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := core.CollectProfile(p, params, 0, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchAnalysis, err = twigopt.Analyze(p, prof, opts.Opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(prof.Samples)), "samples")
+}
+
+// benchAnalysis keeps BenchmarkTwigoptAnalyze's result live.
+var benchAnalysis *twigopt.Analysis
 
 func BenchmarkTwigAnalyze(b *testing.B) {
 	cfg := twig.DefaultConfig()

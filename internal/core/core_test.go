@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"twig/internal/profile"
 	"twig/internal/twigopt"
 	"twig/internal/workload"
 )
@@ -161,6 +165,67 @@ func TestBuildWithProfileMatchesInProcess(t *testing.T) {
 	}
 	if art2.Optimized.TextBytes != art.Optimized.TextBytes {
 		t.Fatal("optimized binaries differ")
+	}
+}
+
+func TestBuildWithProfileRejectsMalformedProfile(t *testing.T) {
+	// profile.Load cannot check a saved profile against the binary, so
+	// it accepts samples naming a branch the binary lacks, an
+	// instruction that is not a direct branch, or a block out of range;
+	// the analysis must reject each with an error naming the sample
+	// rather than panic.
+	opts := smallOpts()
+	art, err := BuildAndOptimize(workload.Kafka, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for i := range art.Profile.Samples {
+		if len(art.Profile.Samples[i].History) > 0 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("profile has no sample with history")
+	}
+	regular := art.Program.Instrs[0].ID
+	if art.Program.Instrs[0].Kind.IsBranch() {
+		t.Fatal("first instruction is a branch")
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*profile.Sample)
+	}{
+		{"branch not in binary", func(s *profile.Sample) { s.Branch = int32(len(art.Program.Instrs)) + 7 }},
+		{"not a direct branch", func(s *profile.Sample) { s.Branch = regular }},
+		{"block out of range", func(s *profile.Sample) { s.History[0].ToBlock = 1 << 30 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := art.Profile.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			prof, err := profile.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&prof.Samples[victim])
+			buf.Reset()
+			if err := prof.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if prof, err = profile.Load(&buf); err != nil {
+				t.Fatalf("profile.Load rejected the profile: %v", err)
+			}
+			_, err = BuildWithProfile(workload.Kafka, prof, opts)
+			if err == nil {
+				t.Fatal("malformed profile accepted")
+			}
+			if want := fmt.Sprintf("sample %d", victim); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		})
 	}
 }
 

@@ -102,7 +102,9 @@ func init() {
 				if err != nil {
 					return err
 				}
-				both, err := c.memoRun(fmt.Sprintf("layout-twig/%s", app), func() (*pipeline.Result, error) {
+				// Keyed apart from results cached before Analyze found
+				// site blocks by ID on a reordered binary.
+				both, err := c.memoRun(fmt.Sprintf("layout+twig/%s", app), func() (*pipeline.Result, error) {
 					an, err := twigopt.Analyze(reordered, a.Profile, c.Opts.Opt)
 					if err != nil {
 						return nil, err

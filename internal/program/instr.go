@@ -85,9 +85,11 @@ type Block struct {
 	First, Last int32
 	// Func is the index of the owning function.
 	Func int32
-	// ID is the stable block identity (blocks are never created or
-	// destroyed by relinking, so this equals the block's index at first
-	// link and its index forever after; it exists for clarity).
+	// ID is the stable block identity: the block's index at first
+	// link. Relinking never creates or destroys blocks and Inject keeps
+	// their order, but ReorderFunctions moves them, so in a reordered
+	// program Blocks[i].ID need not equal i. Profiles and injection
+	// plans name blocks by ID.
 	ID int32
 }
 

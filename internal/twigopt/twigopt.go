@@ -19,7 +19,9 @@
 package twigopt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"twig/internal/isa"
@@ -128,7 +130,9 @@ type Analysis struct {
 }
 
 // Analyze runs the paper's §3 pipeline on a profile of p and returns
-// the injection plan. p must be the unmodified (profiled) binary.
+// the injection plan. p must be the unmodified (profiled) binary,
+// possibly re-laid-out by Program.ReorderFunctions. A profile that
+// names a branch or block p does not have is an error.
 func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, error) {
 	if cfg.OffsetBits <= 0 || cfg.OffsetBits > 48 {
 		return nil, fmt.Errorf("twigopt: offset width %d out of range", cfg.OffsetBits)
@@ -136,69 +140,14 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	if cfg.CoalesceMaskBits < 1 || cfg.CoalesceMaskBits > 64 {
 		return nil, fmt.Errorf("twigopt: coalesce mask width %d out of range", cfg.CoalesceMaskBits)
 	}
-
-	// Step 1: per missed branch, accumulate timely-predecessor counts
-	// (the probability denominator uses whole-run block execution
-	// counts; the numerator and the set-cover structure come from the
-	// samples).
-	timely := make(map[candKey]int64)
-	coverSets := make(map[candKey][]int32)
-	sampleCount := make(map[int32]int64)
-	for i := range prof.Samples {
-		s := &prof.Samples[i]
-		ordinal := int32(sampleCount[s.Branch])
-		sampleCount[s.Branch]++
-		seen := map[int32]bool{}
-		add := func(block int32) {
-			if seen[block] {
-				return
-			}
-			seen[block] = true
-			k := candKey{s.Branch, block}
-			timely[k]++
-			coverSets[k] = append(coverSets[k], ordinal)
-		}
-		for _, rec := range s.History {
-			if s.MissCycle-rec.Cycle < cfg.PrefetchDistance {
-				// Too close to the miss to be timely; keep walking to
-				// older records.
-				continue
-			}
-			// Both endpoints of the taken branch are blocks that
-			// executed before the miss at sufficient distance. The
-			// destination block is the natural injection site (the
-			// prefetch runs when that block is entered).
-			add(rec.ToBlock)
-			add(rec.FromBlock)
-		}
+	if err := checkProfile(p, prof); err != nil {
+		return nil, err
 	}
 
 	an := &Analysis{Plan: &program.InjectionPlan{}}
 	for _, n := range prof.MissCounts {
 		an.TotalMissCount += n
 	}
-
-	// Group candidates per branch (single pass; candidateBlocks sorts
-	// each group deterministically).
-	byBranch := make(map[int32][]candidate, len(sampleCount))
-	for k, n := range timely {
-		byBranch[k.branch] = append(byBranch[k.branch], candidate{block: k.block, count: n})
-	}
-
-	// Branches in decreasing sampled-miss volume (ties by ID for
-	// determinism), so the CoverageTarget cutoff keeps the head of the
-	// distribution and drops the long tail.
-	branches := make([]int32, 0, len(sampleCount))
-	for b := range sampleCount {
-		branches = append(branches, b)
-	}
-	sort.Slice(branches, func(i, j int) bool {
-		mi, mj := prof.MissCounts[branches[i]], prof.MissCounts[branches[j]]
-		if mi != mj {
-			return mi > mj
-		}
-		return branches[i] < branches[j]
-	})
 
 	type site struct {
 		branch int32
@@ -212,25 +161,35 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	var sites []site
 	var processedMisses int64
 	cutoff := int64(float64(an.TotalMissCount) * cfg.CoverageTarget)
-	for _, br := range branches {
+	cs := newCandidates(len(p.Blocks))
+	var covered []bool
+	// Step 1: per missed branch, collect the timely predecessor blocks
+	// from its samples. Branches go in decreasing sampled-miss volume,
+	// so the CoverageTarget cutoff keeps the head of the distribution
+	// and drops the long tail before any of its candidates are built.
+	for _, bk := range bucketSamples(p, prof) {
 		if cfg.CoverageTarget > 0 && processedMisses >= cutoff {
 			break
 		}
-		processedMisses += prof.MissCounts[br]
-		if prof.MissCounts[br] < cfg.MinMissCount {
+		processedMisses += bk.misses
+		if bk.misses < cfg.MinMissCount {
 			continue
 		}
-		cands := sortCandidates(byBranch[br])
+		cs.collect(prof, bk.samples, cfg.PrefetchDistance)
+		cands := cs.list
 		if len(cands) == 0 {
 			an.NoCandidate++
 			continue
 		}
-		// Greedy set cover over this branch's samples: each round picks
-		// the candidate block that covers the most still-uncovered
-		// samples among blocks meeting the accuracy threshold — the
-		// multi-predecessor selection of the paper's Fig. 13 example.
-		nSamples := int(sampleCount[br])
-		covered := make([]bool, nSamples)
+		// Step 2: greedy set cover over this branch's samples: each
+		// round picks the candidate block that covers the most
+		// still-uncovered samples among blocks meeting the accuracy
+		// threshold — the multi-predecessor selection of the paper's
+		// Fig. 13 example. The probability's numerator is the block's
+		// timely count from the samples; its denominator is the block's
+		// whole-run execution count.
+		nSamples := len(bk.samples)
+		covered = append(covered[:0], make([]bool, nSamples)...)
 		nCovered := 0
 		accepted := 0
 		for round := 0; round < maxSites && nCovered < nSamples; round++ {
@@ -257,16 +216,19 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 					continue
 				}
 				gain := 0
-				for _, ord := range coverSets[candKey{br, rec.block}] {
+				for _, ord := range cs.coverSet(ci) {
 					if !covered[ord] {
 						gain++
 					}
 				}
-				better := gain > bestGain || (gain == bestGain && prob > bestProb)
+				// Full ties go to the lower block ID, so the choice
+				// does not depend on the order candidates were found.
+				lower := bestIdx >= 0 && rec.block < cands[bestIdx].block
+				better := gain > bestGain || (gain == bestGain && (prob > bestProb || prob == bestProb && lower))
 				if cfg.NearestSite {
 					// Ablation: ignore probability, prefer the most
 					// frequently timely block (locality-only heuristic).
-					better = gain > bestGain
+					better = gain > bestGain || (gain == bestGain && lower)
 				}
 				if better {
 					bestIdx, bestGain, bestProb = ci, gain, prob
@@ -276,26 +238,22 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 			if bestIdx < 0 || bestGain == 0 || (round > 0 && bestGain*40 < nSamples) {
 				break
 			}
-			blk := cands[bestIdx].block
-			for _, ord := range coverSets[candKey{br, blk}] {
+			for _, ord := range cs.coverSet(bestIdx) {
 				if !covered[ord] {
 					covered[ord] = true
 					nCovered++
 				}
 			}
 			cands[bestIdx].count = 0 // consume
-			sites = append(sites, site{branch: br, block: blk, prob: bestProb})
+			sites = append(sites, site{branch: bk.branch, block: cands[bestIdx].block, prob: bestProb})
 			accepted++
 		}
-		switch {
-		case accepted > 0:
+		if accepted > 0 {
 			// Attribute the branch's miss volume proportionally to the
 			// fraction of its samples the chosen sites can reach.
-			an.CoveredMissCount += prof.MissCounts[br] * int64(nCovered) / int64(nSamples)
-		case len(cands) > 0:
+			an.CoveredMissCount += bk.misses * int64(nCovered) / int64(nSamples)
+		} else {
 			an.LowProbability++
-		default:
-			an.NoCandidate++
 		}
 	}
 
@@ -317,9 +275,15 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	perBlockEntries := make(map[int32][]siteEntry)
 	placementsOf := make(map[int32][]int)
 	blockOrder := []int32{}
+	// Sites are stable block IDs, and p.Blocks is in layout order,
+	// which a reordered binary no longer keeps in ID order.
+	blockFirst := make([]int32, len(p.Blocks))
+	for i := range p.Blocks {
+		blockFirst[p.Blocks[i].ID] = p.Blocks[i].First
+	}
 	for _, st := range sites {
 		br := p.InstrByID(st.branch)
-		sitePC := p.Instrs[siteFirstIdx(p, st.block)].PC
+		sitePC := p.Instrs[blockFirst[st.block]].PC
 		branchOff := int64(br.PC) - int64(sitePC)
 		targetOff := int64(p.PCOf(br.Target)) - int64(br.PC)
 		bb := isa.SignedBitsFor(branchOff)
@@ -423,27 +387,177 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	return an, nil
 }
 
-// candKey keys the timely-predecessor counts by (missed branch,
-// candidate block), both stable IDs.
-type candKey struct {
-	branch int32
-	block  int32
+// checkProfile reports a profile that does not fit p: a different
+// block count, or the first sample that names a branch or block p does
+// not have. A saved profile is outside input (profile.Load cannot check
+// it against a binary), and Analyze indexes dense arrays by these IDs.
+func checkProfile(p *program.Program, prof *profile.Profile) error {
+	if len(prof.BlockExecs) != len(p.Blocks) {
+		return fmt.Errorf("twigopt: profile has %d blocks, binary has %d", len(prof.BlockExecs), len(p.Blocks))
+	}
+	for i := range prof.Samples {
+		s := &prof.Samples[i]
+		if idx := p.IndexOf(s.Branch); idx < 0 || !p.Instrs[idx].Kind.IsDirect() {
+			return fmt.Errorf("twigopt: sample %d names branch %d, which is not a direct branch of the binary", i, s.Branch)
+		}
+		for j, rec := range s.History {
+			for _, blk := range [2]int32{rec.FromBlock, rec.ToBlock} {
+				if blk < 0 || int(blk) >= len(prof.BlockExecs) {
+					return fmt.Errorf("twigopt: sample %d: history record %d names block %d, profile has %d blocks",
+						i, j, blk, len(prof.BlockExecs))
+				}
+			}
+		}
+	}
+	return nil
 }
 
-// candidate is a (block, timely-count) pair for one branch.
+// bucket is one missed branch's share of the profile.
+type bucket struct {
+	branch int32
+	// misses is the branch's sampled miss count, prof.MissCounts[branch].
+	misses int64
+	// samples indexes prof.Samples, in profile order.
+	samples []int32
+}
+
+// bucketSamples counting-sorts the sample indices by missed branch,
+// which keeps profile order within each bucket, and returns the
+// buckets in decreasing miss volume (ties by branch ID, so the order
+// is total).
+func bucketSamples(p *program.Program, prof *profile.Profile) []bucket {
+	next := make([]int32, len(p.Instrs)) // per stable ID: count, then fill cursor
+	for i := range prof.Samples {
+		next[prof.Samples[i].Branch]++
+	}
+	order := make([]int32, len(prof.Samples))
+	var buckets []bucket
+	var off int32
+	for b, n := range next {
+		if n == 0 {
+			continue
+		}
+		br := int32(b)
+		buckets = append(buckets, bucket{branch: br, misses: prof.MissCounts[br], samples: order[off : off+n]})
+		next[b] = off
+		off += n
+	}
+	for i := range prof.Samples {
+		b := prof.Samples[i].Branch
+		order[next[b]] = int32(i)
+		next[b]++
+	}
+	slices.SortFunc(buckets, func(x, y bucket) int {
+		if c := cmp.Compare(y.misses, x.misses); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.branch, y.branch)
+	})
+	return buckets
+}
+
+// candidate is a block that timely precedes some samples of the branch
+// being analyzed.
 type candidate struct {
 	block int32
-	count int64
+	// count is the number of the branch's samples the block timely
+	// precedes (its cover-set size); the set cover zeroes it once the
+	// block is chosen.
+	count int32
 }
 
-// sortCandidates orders a branch's candidate blocks deterministically.
-func sortCandidates(cs []candidate) []candidate {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].block < cs[j].block })
-	return cs
+// candidates collects one branch's candidate blocks at a time. Arrays
+// indexed by stable block ID, stamped per branch and per sample, stand
+// in for maps keyed by (branch, block): the scratch space is reused
+// across branches, and a collect costs only the branch's samples.
+type candidates struct {
+	// list is the branch's candidates, in the order its samples first
+	// reach them.
+	list []candidate
+	// cover holds every candidate's cover set back to back: the
+	// ordinals, within the branch's bucket, of the samples list[c]
+	// timely precedes are cover[off[c]:off[c+1]], in increasing order.
+	cover, off []int32
+
+	// branch and sample stamp the branch being collected and its
+	// current sample; both only grow, so no per-block array is ever
+	// cleared.
+	branch, sample int32
+	branchMark     []int32 // per block: stamp of the branch that last listed it
+	sampleMark     []int32 // per block: stamp of the sample that last counted it
+	slot           []int32 // per block: position in list, valid while branchMark matches
+
+	hits []hit   // one per counted (candidate, sample), in sample order
+	fill []int32 // per candidate: next free position in cover
 }
 
-func siteFirstIdx(p *program.Program, blockID int32) int32 {
-	return p.Blocks[blockID].First
+// hit records that list[cand] timely precedes the sample with bucket
+// ordinal ord.
+type hit struct{ cand, ord int32 }
+
+// newCandidates sizes the per-block arrays for a binary of the given
+// number of blocks.
+func newCandidates(blocks int) *candidates {
+	return &candidates{
+		branchMark: make([]int32, blocks),
+		sampleMark: make([]int32, blocks),
+		slot:       make([]int32, blocks),
+	}
+}
+
+// collect replaces the candidate list with the blocks that precede the
+// given samples by at least dist cycles.
+func (c *candidates) collect(prof *profile.Profile, samples []int32, dist float64) {
+	c.branch++
+	c.list, c.hits = c.list[:0], c.hits[:0]
+	for ord, si := range samples {
+		s := &prof.Samples[si]
+		c.sample++
+		for _, rec := range s.History {
+			if s.MissCycle-rec.Cycle < dist {
+				// Too close to the miss to be timely; keep walking to
+				// older records.
+				continue
+			}
+			// Both endpoints of the taken branch are blocks that
+			// executed before the miss at sufficient distance. The
+			// destination block is the natural injection site (the
+			// prefetch runs when that block is entered).
+			c.add(rec.ToBlock, int32(ord))
+			c.add(rec.FromBlock, int32(ord))
+		}
+	}
+	c.off = append(c.off[:0], 0)
+	for i, cand := range c.list {
+		c.off = append(c.off, c.off[i]+cand.count)
+	}
+	c.fill = append(c.fill[:0], c.off[:len(c.list)]...)
+	c.cover = append(c.cover[:0], make([]int32, len(c.hits))...)
+	for _, h := range c.hits {
+		c.cover[c.fill[h.cand]] = h.ord
+		c.fill[h.cand]++
+	}
+}
+
+// add counts block for the current sample, at most once.
+func (c *candidates) add(block, ord int32) {
+	if c.sampleMark[block] == c.sample {
+		return
+	}
+	c.sampleMark[block] = c.sample
+	if c.branchMark[block] != c.branch {
+		c.branchMark[block] = c.branch
+		c.slot[block] = int32(len(c.list))
+		c.list = append(c.list, candidate{block: block})
+	}
+	k := c.slot[block]
+	c.list[k].count++
+	c.hits = append(c.hits, hit{k, ord})
+}
+
+// coverSet returns the bucket ordinals of the samples list[i] covers.
+func (c *candidates) coverSet(i int) []int32 {
+	return c.cover[c.off[i]:c.off[i+1]]
 }
 
 func clampBits(b int) int {

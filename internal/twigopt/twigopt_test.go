@@ -1,7 +1,9 @@
 package twigopt
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -321,6 +323,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Analyze(p, prof, cfg); err == nil {
 		t.Fatal("65-bit mask accepted")
 	}
+	prof.BlockExecs = prof.BlockExecs[:len(prof.BlockExecs)-1]
+	if _, err := Analyze(p, prof, exampleConfig()); err == nil {
+		t.Fatal("profile of a binary with fewer blocks accepted")
+	}
 }
 
 func TestCoverageTargetCutsTail(t *testing.T) {
@@ -375,11 +381,73 @@ func TestCoverageTargetCutsTail(t *testing.T) {
 
 func TestAnalyzeArbitraryProfilesProperty(t *testing.T) {
 	// Property: for any program and any structurally-valid profile, the
-	// analysis must succeed and produce a plan the relinker accepts,
+	// analysis must succeed, equal the map-based reference exactly under
+	// every equivalence config, and produce a plan the relinker accepts,
 	// with every placement naming a real direct branch and a real block.
 	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		b := program.NewBuilder(0x400000)
+		if err := checkEquivalence(seed); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzAnalyzeEquivalence explores the same generator as the property
+// test: Analyze must equal referenceAnalyze on every drawn case.
+func FuzzAnalyzeEquivalence(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 7, 42, 1 << 33} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		if err := checkEquivalence(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// equivalenceConfigs are the configurations Analyze is compared with
+// the reference under: fig27's seven mask widths, then one change at a
+// time to the paper's operating point, then the operating point itself.
+func equivalenceConfigs() []Config {
+	var cfgs []Config
+	for _, w := range []int{1, 2, 4, 8, 16, 32, 64} {
+		cfg := DefaultConfig()
+		cfg.CoalesceMaskBits = w
+		cfgs = append(cfgs, cfg)
+	}
+	for _, vary := range []func(*Config){
+		func(c *Config) { c.NearestSite = true },
+		func(c *Config) { c.DisableCoalescing = true },
+		func(c *Config) { c.MaxSitesPerBranch = 1 },
+		func(c *Config) { c.PrefetchDistance = 0 },
+		func(c *Config) { c.PrefetchDistance = 50 },
+		func(c *Config) { c.MinProbability = 0 },
+		func(c *Config) { c.CoverageTarget = 0 },
+		func(c *Config) { c.MinMissCount = 5 },
+		func(*Config) {},
+	} {
+		cfg := DefaultConfig()
+		vary(&cfg)
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// randomCase draws a linked program of one to three functions and a
+// structurally valid profile over it. Samples concentrate on a few hot
+// branches, so most branches that miss have several; miss counts
+// exceed sample counts (sampling) and name some unsampled branches;
+// some blocks never execute; LBR records have distinct endpoints and
+// may repeat a block within one history.
+func randomCase(seed uint64) (*program.Program, *profile.Profile, error) {
+	r := rng.New(seed)
+	b := program.NewBuilder(0x400000)
+	nFuncs := 1 + r.Intn(3)
+	for fi := 0; fi < nFuncs; fi++ {
 		f := b.NewFunc()
 		blocks := 4 + r.Intn(12)
 		for i := 0; i < blocks; i++ {
@@ -387,76 +455,149 @@ func TestAnalyzeArbitraryProfilesProperty(t *testing.T) {
 			for k := 0; k < 1+r.Intn(4); k++ {
 				blk.Regular(2 + r.Intn(5))
 			}
-			if i+1 < blocks && r.Bool(0.7) {
+			switch {
+			case i+1 < blocks && r.Bool(0.6):
 				blk.Cond(int32(i+1), uint8(r.Intn(256)), false)
+			case fi+1 < nFuncs && r.Bool(0.3):
+				blk.Call(int32(fi + 1))
 			}
 		}
 		f.NewBlock().Return()
-		p, err := b.Link()
-		if err != nil {
-			return false
-		}
+	}
+	p, err := b.Link()
+	if err != nil {
+		return nil, nil, err
+	}
 
-		// Random profile over the program's branches and blocks.
-		prof := &profile.Profile{
-			BlockExecs: make([]int64, len(p.Blocks)),
-			MissCounts: map[int32]int64{},
-		}
-		for i := range prof.BlockExecs {
+	prof := &profile.Profile{
+		BlockExecs: make([]int64, len(p.Blocks)),
+		MissCounts: map[int32]int64{},
+	}
+	for i := range prof.BlockExecs {
+		if !r.Bool(0.15) {
 			prof.BlockExecs[i] = int64(1 + r.Intn(50))
 		}
-		var branches []int32
-		for i := range p.Instrs {
-			if p.Instrs[i].Kind.IsDirect() {
-				branches = append(branches, p.Instrs[i].ID)
+	}
+	var branches []int32
+	for i := range p.Instrs {
+		if p.Instrs[i].Kind.IsDirect() {
+			branches = append(branches, p.Instrs[i].ID)
+		}
+	}
+	if len(branches) == 0 {
+		return p, prof, nil
+	}
+	hot := branches[:1+r.Intn(min(4, len(branches)))]
+	block := func() int32 { return int32(r.Intn(len(p.Blocks))) }
+	missCycle := 500.0
+	nSamples := 1 + r.Intn(40)
+	for s := 0; s < nSamples; s++ {
+		br := branches[r.Intn(len(branches))]
+		if r.Bool(0.7) {
+			br = hot[r.Intn(len(hot))]
+		}
+		prof.MissCounts[br] += int64(1 + r.Intn(3))
+		var hist []profile.Record
+		for h := r.Intn(8); h > 0; h-- {
+			rec := profile.Record{FromBlock: block(), ToBlock: block(), Cycle: missCycle - float64(r.Intn(70))}
+			if len(hist) > 0 && r.Bool(0.3) {
+				rec.FromBlock = hist[r.Intn(len(hist))].ToBlock
 			}
+			hist = append(hist, rec)
 		}
-		if len(branches) == 0 {
-			return true
-		}
-		missCycle := 500.0
-		nSamples := 1 + r.Intn(30)
-		for s := 0; s < nSamples; s++ {
-			br := branches[r.Intn(len(branches))]
-			prof.MissCounts[br]++
-			var hist []profile.Record
-			for h := 0; h < r.Intn(6); h++ {
-				blk := int32(r.Intn(len(p.Blocks)))
-				hist = append(hist, profile.Record{
-					FromBlock: blk, ToBlock: blk,
-					Cycle: missCycle - float64(5+r.Intn(60)),
-				})
-			}
-			prof.Samples = append(prof.Samples, profile.Sample{
-				Branch: br, MissCycle: missCycle, History: hist,
-			})
-			missCycle += float64(10 + r.Intn(100))
-		}
+		prof.Samples = append(prof.Samples, profile.Sample{
+			Branch: br, MissCycle: missCycle, History: hist,
+		})
+		missCycle += float64(10 + r.Intn(100))
+	}
+	for k := r.Intn(3); k > 0; k-- {
+		prof.MissCounts[branches[r.Intn(len(branches))]] += int64(1 + r.Intn(4))
+	}
+	return p, prof, nil
+}
 
-		cfg := DefaultConfig()
-		cfg.MinMissCount = 1
+// checkEquivalence analyzes randomCase(seed) under every equivalence
+// config and checks the result against the reference and the relinker.
+func checkEquivalence(seed uint64) error {
+	p, prof, err := randomCase(seed)
+	if err != nil {
+		return err
+	}
+	for i, cfg := range equivalenceConfigs() {
 		an, err := Analyze(p, prof, cfg)
 		if err != nil {
-			return false
+			return fmt.Errorf("config %d: %v", i, err)
+		}
+		ref, err := referenceAnalyze(p, prof, cfg)
+		if err != nil {
+			return fmt.Errorf("config %d: reference: %v", i, err)
+		}
+		if !reflect.DeepEqual(an, ref) {
+			return fmt.Errorf("config %d (%+v): analysis differs from the reference", i, cfg)
 		}
 		for _, pl := range an.Placements {
 			if p.IndexOf(pl.Branch) < 0 {
-				return false
+				return fmt.Errorf("config %d: placement names unknown branch %d", i, pl.Branch)
 			}
 			if pl.Block < 0 || int(pl.Block) >= len(p.Blocks) {
-				return false
+				return fmt.Errorf("config %d: placement names unknown block %d", i, pl.Block)
 			}
 			if pl.Probability < 0 || pl.Probability > 1 {
-				return false
+				return fmt.Errorf("config %d: probability %v", i, pl.Probability)
 			}
 		}
 		q, err := p.Inject(an.Plan)
 		if err != nil {
-			return false
+			return fmt.Errorf("config %d: inject: %v", i, err)
 		}
-		return q.Validate() == nil
+		if err := q.Validate(); err != nil {
+			return fmt.Errorf("config %d: %v", i, err)
+		}
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+func TestReorderedBranchOffsets(t *testing.T) {
+	// On a re-laid-out binary, a placement's site→branch offset is
+	// measured from the block whose stable ID is Placement.Block, not
+	// from whatever block now sits at that layout index.
+	moved := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		p, prof, err := randomCase(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]int32, len(p.Funcs))
+		for i := range order {
+			order[i] = int32(len(order) - 1 - i)
+		}
+		q, err := p.ReorderFunctions(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.MinProbability = 0
+		an, err := Analyze(q, prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range an.Placements {
+			var site *program.Block
+			for bi := range q.Blocks {
+				if q.Blocks[bi].ID == pl.Block {
+					site = &q.Blocks[bi]
+				}
+			}
+			want := int64(q.PCOf(pl.Branch)) - int64(q.Instrs[site.First].PC)
+			if pl.BranchOffset != want {
+				t.Fatalf("seed %d: branch %d from block %d: offset %d, want %d", seed, pl.Branch, pl.Block, pl.BranchOffset, want)
+			}
+			if q.Blocks[pl.Block].ID != pl.Block {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no placement landed in a moved block; the test checks nothing")
 	}
 }
