@@ -10,7 +10,6 @@
 //	experiments -listen :8080 -j 8      # live runner stats (watch with cmd/twigtop)
 //	experiments -only sampled -sample   # interval-sampled estimates with confidence intervals
 //	experiments -coordinator http://host:9090  # offload the matrix to a twigd fleet
-//	experiments -surrogate -cache .twig-cache  # surrogate-pruned sweeps off a warm cache
 //	experiments -cache-ls -cache .twig-cache   # enumerate the result cache and exit
 //	experiments -list                   # show experiment IDs
 package main
@@ -62,9 +61,6 @@ func main() {
 		interval     = flag.Int64("interval", 0, "sampled-interval length in instructions (0 = window/20; with -sample)")
 		period       = flag.Int("period", 4, "measure one interval of every N (with -sample)")
 		sampleSeed   = flag.Uint64("sampleseed", 0, "non-zero = seeded-random interval selection; 0 = systematic (with -sample)")
-		surrogate    = flag.Bool("surrogate", false, "prune sweeps with a cache-trained surrogate: exact-simulate only uncertain or ranking-critical points, predict the rest with error bars")
-		sweepBudget  = flag.Int("sweep-budget", -1, "max exact sims spent on uncertainty refinement per sweep (with -surrogate; law/ranking-forced runs always execute; -1 = unlimited, 0 = none)")
-		rankings     = flag.Bool("rankings", false, "print per-app scheme-ranking lines under fig16 (always on with -surrogate)")
 		cacheLs      = flag.Bool("cache-ls", false, "enumerate the result cache (per-codec entry counts, bytes, stale/corrupt totals) and exit")
 	)
 	flag.Parse()
@@ -130,7 +126,6 @@ func main() {
 	ctx := experiments.NewContext(out, *instructions)
 	ctx.SetRunner(run)
 	ctx.SetContext(sigCtx)
-	ctx.Rankings = *rankings
 	if len(appList) > 0 {
 		ctx.Apps = appList
 	}
@@ -224,13 +219,6 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "coordinator: runs carry telemetry observers; not distributing (remote cache still attached)")
 		}
-	}
-
-	if *surrogate {
-		// Enabled last: training snapshots the cache under the final
-		// options (the -sample block above changes result hashes), so it
-		// must run after every option mutation and before any experiment.
-		ctx.EnableSurrogate(experiments.SurrogateConfig{Budget: *sweepBudget})
 	}
 
 	start := time.Now()

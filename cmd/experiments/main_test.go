@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"twig/internal/pipeline"
+	"twig/internal/runner"
 )
 
 func TestParseSections(t *testing.T) {
@@ -62,5 +67,63 @@ func TestWriteHTML(t *testing.T) {
 	}
 	if !strings.Contains(html, "body &amp; stuff") {
 		t.Fatal("body not escaped/rendered")
+	}
+}
+
+func TestListCache(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := runner.OpenCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entries live at <dir>/<first two hash chars>/<hash>.json.
+	path := func(h string) string { return filepath.Join(dir, h[:2], h+".json") }
+	size := func(h string) int64 {
+		info, err := os.Stat(path(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	cache.Put("aa01", runner.ResultCodec{}, &pipeline.Result{Original: 1})
+	cache.Put("aa02", runner.ResultCodec{}, &pipeline.Result{Original: 2})
+	cache.Put("bb01", runner.JSONCodec[int]{}, 42)
+
+	// A well-formed envelope written under another simulator version.
+	cache.Put("cc01", runner.ResultCodec{}, &pipeline.Result{Original: 3})
+	env, err := os.ReadFile(path("cc01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := []byte(`"sim":"` + runner.SimVersion + `"`)
+	if !bytes.Contains(env, sim) {
+		t.Fatalf("envelope lacks %s: %s", sim, env)
+	}
+	env = bytes.Replace(env, sim, []byte(`"sim":"other-sim"`), 1)
+	if err := os.WriteFile(path("cc01"), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A .json file that is not JSON.
+	if err := os.MkdirAll(filepath.Dir(path("dd01")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("dd01"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := listCache(&out, cache); err != nil {
+		t.Fatal(err)
+	}
+	results := size("aa01") + size("aa02")
+	total := results + size("bb01") + size("cc01") + size("dd01")
+	want := fmt.Sprintf("cache: 5 entries, %d bytes\n"+
+		"  json            1 entries %12d bytes\n"+
+		"  result          2 entries %12d bytes\n"+
+		"  stale           1 entries\n"+
+		"  corrupt         1 entries\n", total, size("bb01"), results)
+	if out.String() != want {
+		t.Fatalf("listCache printed\n%s\nwant\n%s", out.String(), want)
 	}
 }

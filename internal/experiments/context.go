@@ -39,18 +39,9 @@ type Context struct {
 	Apps []workload.App
 	// Out receives rendered tables.
 	Out io.Writer
-	// Rankings adds scheme-ranking lines to fig16's full-grid output.
-	// Surrogate-pruned mode always prints them (they are the invariant
-	// the pruning preserves); the full grid prints them only on request
-	// so the default output stays byte-stable.
-	Rankings bool
 
 	run *runner.Runner
 	ctx stdctx.Context
-	// sur is the surrogate-pruned sweep state (nil = full grid). A
-	// pointer so Context clones rendering concurrent figures share one
-	// model set and budget.
-	sur *surrogateState
 }
 
 // NewContext returns a context with the paper's defaults; instructions

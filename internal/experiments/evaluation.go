@@ -19,12 +19,8 @@ func init() {
 		Title: "Speedup over the FDIP baseline: Twig vs ideal BTB, 32K BTB, Shotgun, Confluence, Micro BTB hierarchy, shadow branches",
 		Paper: "Twig +20.86% avg (2-145%); ideal +31%; Shotgun ~+1%; Twig beats even a 32K-entry BTB on average",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig16Pruned(c)
-			}
 			t := metrics.NewTable("app", "ideal %", "32K BTB %", "confluence %", "shotgun %", "hierarchy %", "shadow %", "twig %")
 			cols := make([][]float64, 7)
-			var rankings []string
 			for _, app := range c.Apps {
 				runs, err := c.Schemes(app, 0, "baseline", "ideal", "twig", "shotgun", "confluence", "hierarchy", "shadow")
 				if err != nil {
@@ -50,23 +46,13 @@ func init() {
 					cols[i] = append(cols[i], v)
 				}
 				t.Row(string(app), vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], vals[6])
-				if c.Rankings {
-					rankings = append(rankings, rankLineRes(app, runs))
-				}
 			}
 			t.Row("average",
 				metrics.Mean(cols[0]), metrics.Mean(cols[1]), metrics.Mean(cols[2]),
 				metrics.Mean(cols[3]), metrics.Mean(cols[4]), metrics.Mean(cols[5]),
 				metrics.Mean(cols[6]))
-			if _, err := fmt.Fprint(c.Out, t.String()); err != nil {
-				return err
-			}
-			for _, l := range rankings {
-				if _, err := fmt.Fprintln(c.Out, l); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := fmt.Fprint(c.Out, t.String())
+			return err
 		},
 	})
 
@@ -75,9 +61,6 @@ func init() {
 		Title: "BTB miss coverage of Twig, Confluence, Shotgun, the Micro BTB hierarchy, and shadow branches",
 		Paper: "Twig covers 65.4% avg (up to 95.8%), 57.4% more than Shotgun",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig17Pruned(c)
-			}
 			t := metrics.NewTable("app", "confluence %", "shotgun %", "hierarchy %", "shadow %", "twig %")
 			var cs, ss, hs, bs, ts []float64
 			for _, app := range c.Apps {
@@ -107,9 +90,6 @@ func init() {
 		Title: "Contribution split: software BTB prefetching vs prefetch coalescing (% of ideal)",
 		Paper: "software prefetching alone ~32.6% of ideal; coalescing adds ~15.7% more (total 48.3%)",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig18Pruned(c)
-			}
 			t := metrics.NewTable("app", "sw-only % of ideal", "with coalescing % of ideal", "coalescing gain")
 			var sws, fulls []float64
 			for _, app := range c.Apps {
@@ -158,9 +138,6 @@ func init() {
 		Title: "BTB prefetch accuracy of Twig, Confluence, Shotgun, and shadow branches",
 		Paper: "Twig 31.3% average accuracy, ~12.3% higher than Shotgun",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig19Pruned(c)
-			}
 			// The hierarchy is absent by design: it never prefetches, so
 			// it has no accuracy to report (see SCHEMES.md).
 			t := metrics.NewTable("app", "confluence %", "shotgun %", "shadow %", "twig %")
@@ -189,9 +166,6 @@ func init() {
 		Title: "Cross-input generalization (% of ideal, inputs #1-#3, trained on #0) — includes Table 2",
 		Paper: "training-input profiles achieve speedups comparable to same-input profiles; both far above Shotgun/Confluence",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig20Pruned(c)
-			}
 			t := metrics.NewTable("app", "same-input avg", "same stddev", "train-#0 avg", "train stddev", "shotgun avg", "confluence avg", "hierarchy avg", "shadow avg")
 			for _, app := range c.Apps {
 				var same, cross, shot, conf, hier, shad []float64

@@ -66,9 +66,6 @@ func init() {
 		Title: "Speedup vs BTB capacity (2K-64K entries)",
 		Paper: "Twig outperforms Shotgun and Confluence at every BTB size (raw speedups here: beyond 8K entries the ideal headroom collapses at this scale, so a %-of-ideal ratio is meaningless)",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig23Pruned(c)
-			}
 			sizes := []int{2048, 4096, 8192, 16384, 32768, 65536}
 			t := metrics.NewTable("entries", "twig sp%", "shotgun sp%", "confluence sp%")
 			for _, s := range sizes {
@@ -94,9 +91,6 @@ func init() {
 		Title: "Speedup vs BTB associativity (4-128 ways)",
 		Paper: "Twig outperforms Shotgun and Confluence at every associativity (raw speedups; see fig23's note)",
 		Run: func(c *Context) error {
-			if c.SurrogateOn() {
-				return fig24Pruned(c)
-			}
 			ways := []int{4, 8, 16, 32, 64, 128}
 			t := metrics.NewTable("ways", "twig sp%", "shotgun sp%", "confluence sp%")
 			for _, w := range ways {

@@ -246,34 +246,6 @@ func (c *Cache) memPut(hash string, v any) {
 	}
 }
 
-// Peek returns the decoded payload for hash when it is already present
-// in the memory or disk tier. Unlike Get it is entirely side-effect
-// free: no statistics are counted, no LRU promotion happens, corrupt or
-// stale disk entries are left in place (reported as misses), and the
-// remote tier is never consulted. The surrogate trainer uses it to
-// enumerate a candidate grid against the cache without perturbing the
-// hit/miss counters the smoke tests assert on.
-func (c *Cache) Peek(hash string, codec Codec) (any, bool) {
-	c.mu.Lock()
-	el, ok := c.mem[hash]
-	c.mu.Unlock()
-	if ok {
-		return el.Value.(memEntry).val, true
-	}
-	if c.dir == "" || len(hash) < 2 {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	v, err := decodeEntry(data, hash, codec)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
 // WalkEntry describes one on-disk cache envelope seen by Walk.
 type WalkEntry struct {
 	// Hash is the entry's content hash (from the envelope when it

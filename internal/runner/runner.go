@@ -167,29 +167,6 @@ func (r *Runner) Workers() int { return r.opts.Workers }
 // Cache returns the configured cache, or nil.
 func (r *Runner) Cache() *Cache { return r.opts.Cache }
 
-// Memoized returns the in-process payload of an already-resolved job
-// ID, without scheduling, waiting, or touching the cache. It reports
-// false for unknown, still-running, and failed jobs. The surrogate
-// trainer uses it to harvest results this process has already computed
-// alongside what the persistent cache holds.
-func (r *Runner) Memoized(id string) (any, bool) {
-	r.mu.Lock()
-	n, ok := r.nodes[id]
-	r.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-n.done:
-	default:
-		return nil, false
-	}
-	if n.err != nil {
-		return nil, false
-	}
-	return n.val, true
-}
-
 // Result resolves the job — from the in-process memo, the cache, or by
 // executing it (after its dependencies) on the worker pool — and
 // returns its payload. Concurrent calls for the same ID share one

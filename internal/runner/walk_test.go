@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,69 +9,6 @@ import (
 
 	"twig/internal/pipeline"
 )
-
-func TestPeekSideEffectFree(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := OpenCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &pipeline.Result{Original: 500, Cycles: 777}
-	h := hash("peek")
-	c1.Put(h, ResultCodec{}, res)
-
-	// Fresh cache over the same dir: Peek must decode the disk entry
-	// without promoting it into memory or counting a hit.
-	c2, err := OpenCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := c2.Peek(h, ResultCodec{})
-	if !ok {
-		t.Fatal("Peek missed a present disk entry")
-	}
-	if got := v.(*pipeline.Result); got.Cycles != res.Cycles {
-		t.Fatalf("Peek payload Cycles = %v, want %v", got.Cycles, res.Cycles)
-	}
-	if c2.MemLen() != 0 {
-		t.Fatalf("Peek promoted into the memory tier (MemLen %d)", c2.MemLen())
-	}
-	if c2.stats.DiskHits.Load() != 0 || c2.stats.Misses.Load() != 0 {
-		t.Fatal("Peek touched the hit/miss counters")
-	}
-	if _, ok := c2.Peek(hash("absent"), ResultCodec{}); ok {
-		t.Fatal("Peek found an absent entry")
-	}
-	// Memory tier is consulted too.
-	if _, ok := c1.Peek(h, ResultCodec{}); !ok {
-		t.Fatal("Peek missed a memory-tier entry")
-	}
-}
-
-func TestPeekLeavesCorruptEntriesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hash("corrupt-peek")
-	path := c.path(h)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Peek(h, ResultCodec{}); ok {
-		t.Fatal("Peek decoded a corrupt entry")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Peek evicted the corrupt entry: %v", err)
-	}
-	if c.stats.CorruptEvicted.Load() != 0 {
-		t.Fatal("Peek counted an eviction")
-	}
-}
 
 func TestWalkEnumeratesByKind(t *testing.T) {
 	dir := t.TempDir()
@@ -154,33 +90,5 @@ func TestWalkDeterministicOrder(t *testing.T) {
 	a, b := collect(), collect()
 	if len(a) != 8 || fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("Walk order unstable or incomplete:\n%v\n%v", a, b)
-	}
-}
-
-func TestRunnerMemoized(t *testing.T) {
-	r := New(Options{Workers: 1})
-	if _, ok := r.Memoized("run/absent"); ok {
-		t.Fatal("Memoized found an unknown job")
-	}
-	j := &Job{
-		ID:   "run/memoized",
-		Kind: KindSim,
-		Run:  func(context.Context, []any) (any, error) { return 42, nil },
-	}
-	if _, err := r.Result(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := r.Memoized("run/memoized")
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Memoized = %v/%v, want 42/true", v, ok)
-	}
-	// Failed jobs are not reported.
-	bad := &Job{
-		ID:  "run/failed",
-		Run: func(context.Context, []any) (any, error) { return nil, errors.New("boom") },
-	}
-	r.Result(context.Background(), bad)
-	if _, ok := r.Memoized("run/failed"); ok {
-		t.Fatal("Memoized surfaced a failed job")
 	}
 }

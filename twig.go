@@ -134,15 +134,6 @@ type Config struct {
 	// with confidence intervals at a fraction of the work. The zero
 	// value disables sampling; exact runs never consult it.
 	Sample SampleConfig
-	// Surrogate configures surrogate-pruned sweeps for
-	// RunExperimentsConfig: a model trained on the persistent result
-	// cache replaces exact simulation at sweep points whose outcome it
-	// can predict within tight conformal error bars, and exact runs are
-	// reserved for points that are uncertain, could flip a scheme
-	// ranking, or violate the cross-scheme verification laws. The zero
-	// value disables surrogate mode; exact (full-grid) output is
-	// byte-identical with or without this field.
-	Surrogate SurrogateConfig
 }
 
 // SampleConfig mirrors internal/sampling.Spec on the public facade.
@@ -164,27 +155,6 @@ type SampleConfig struct {
 
 // Enabled reports whether the configuration requests sampling.
 func (c SampleConfig) Enabled() bool { return c.Interval > 0 && c.Period > 0 }
-
-// SurrogateConfig mirrors internal/experiments.SurrogateConfig on the
-// public facade. See PERFORMANCE.md ("Surrogate-pruned sweeps").
-type SurrogateConfig struct {
-	// Enabled turns surrogate-pruned sweeps on.
-	Enabled bool
-	// Budget caps the number of exact simulations the driver may spend
-	// on uncertainty (wide-interval) refinement per sweep; law- and
-	// ranking-forced exact runs always execute. The zero value means
-	// unlimited — like every other field here, leaving it unset gives
-	// the safe default. Negative disables width-forced refinement
-	// entirely: every prediction that passes the law and ranking gates
-	// stands, however wide its error bars.
-	Budget int
-	// Confidence is the conformal-interval coverage level (zero means
-	// 0.9): error bars contain the exact value at this nominal rate.
-	Confidence float64
-	// MaxRelWidth is the relative half-width above which a prediction
-	// is considered too uncertain and forced exact (zero means 0.05).
-	MaxRelWidth float64
-}
 
 // DefaultConfig returns the paper's operating point with a window sized
 // for interactive use.
@@ -822,93 +792,15 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 
 // RunExperiments regenerates the paper's tables and figures into w.
 // only restricts the set to the given experiment IDs (nil = all);
-// instructions sizes each simulation window. See ExperimentIDs.
+// instructions sizes each simulation window. An unknown ID fails
+// before anything is rendered. See ExperimentIDs.
 func RunExperiments(w io.Writer, instructions int64, only []string, apps []App) error {
 	ctx := experiments.NewContext(w, instructions)
 	if len(apps) > 0 {
 		ctx.Apps = apps
 	}
-	if len(only) == 0 {
-		for _, e := range experiments.All() {
-			if err := ctx.RunOne(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, id := range only {
-		e, ok := experiments.ByID(id)
-		if !ok {
-			return fmt.Errorf("twig: unknown experiment %q (known: %v)", id, experiments.IDs())
-		}
-		if err := ctx.RunOne(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunExperimentsConfig is RunExperiments with the full Config surface:
-// cfg.Jobs sizes the simulation worker pool, cfg.CacheDir roots the
-// persistent result cache (falling back to $TWIG_CACHE_DIR), and
-// cfg.Surrogate, when enabled, prunes the sensitivity sweeps with a
-// cache-trained surrogate model — exact simulation is reserved for
-// points the model is uncertain about, points whose scheme ranking
-// could flip, and points whose prediction violates a cross-scheme law.
-// With cfg.Surrogate disabled the output is byte-identical to
-// RunExperiments.
-func RunExperimentsConfig(w io.Writer, cfg Config, only []string, apps []App) error {
-	instructions := cfg.Instructions
-	if instructions <= 0 {
-		instructions = DefaultConfig().Instructions
-	}
-	dir := cfg.CacheDir
-	if dir == "" {
-		dir = runner.DefaultCacheDir()
-	}
-	cache, err := runner.OpenCache(dir, 0)
-	if err != nil {
+	if err := ctx.RunSelected(only, 1); err != nil {
 		return fmt.Errorf("twig: %w", err)
-	}
-	run := runner.New(runner.Options{Workers: cfg.Jobs, Cache: cache})
-	ctx := experiments.NewContext(w, instructions)
-	ctx.SetRunner(run)
-	if len(apps) > 0 {
-		ctx.Apps = apps
-	}
-	if cfg.Surrogate.Enabled {
-		// The facade's Budget zero value means unlimited and negative
-		// means "trust every in-gate prediction"; the driver speaks the
-		// CLI's convention (-1 unlimited, 0 trust-all), so translate.
-		budget := cfg.Surrogate.Budget
-		switch {
-		case budget == 0:
-			budget = -1
-		case budget < 0:
-			budget = 0
-		}
-		ctx.EnableSurrogate(experiments.SurrogateConfig{
-			Budget:      budget,
-			Confidence:  cfg.Surrogate.Confidence,
-			MaxRelWidth: cfg.Surrogate.MaxRelWidth,
-		})
-	}
-	if len(only) == 0 {
-		for _, e := range experiments.All() {
-			if err := ctx.RunOne(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, id := range only {
-		e, ok := experiments.ByID(id)
-		if !ok {
-			return fmt.Errorf("twig: unknown experiment %q (known: %v)", id, experiments.IDs())
-		}
-		if err := ctx.RunOne(e); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -139,10 +139,15 @@ func TestExperimentIDs(t *testing.T) {
 }
 
 func TestRunExperimentsUnknownID(t *testing.T) {
-	var buf bytes.Buffer
-	err := twig.RunExperiments(&buf, 1000, []string{"fig999"}, nil)
-	if err == nil {
-		t.Fatal("unknown experiment ID accepted")
+	for _, only := range [][]string{{"fig999"}, {"tab1", "fig999"}} {
+		var buf bytes.Buffer
+		err := twig.RunExperiments(&buf, 1000, only, nil)
+		if err == nil {
+			t.Fatalf("%v: unknown experiment ID accepted", only)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%v: rendered %d bytes before rejecting the unknown ID", only, buf.Len())
+		}
 	}
 }
 
