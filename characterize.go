@@ -32,7 +32,7 @@ func (s *System) Characterize(input int) (Characterization, error) {
 
 	opts := s.opts
 	opts.Pipeline.Hooks = rec.Hooks()
-	res, err := art.RunWithScheme(input, opts, scheme)
+	res, err := art.RunProgram(art.Program, input, opts, scheme)
 	if err != nil {
 		return Characterization{}, err
 	}

@@ -31,19 +31,19 @@ func TestPaperClaims(t *testing.T) {
 		}
 		var r row
 		r.app = app
-		if r.base, err = sys.Baseline(0); err != nil {
+		if r.base, err = sys.Run("baseline", 0); err != nil {
 			t.Fatal(err)
 		}
-		if r.ideal, err = sys.IdealBTB(0); err != nil {
+		if r.ideal, err = sys.Run("ideal", 0); err != nil {
 			t.Fatal(err)
 		}
-		if r.opt, err = sys.Twig(0); err != nil {
+		if r.opt, err = sys.Run("twig", 0); err != nil {
 			t.Fatal(err)
 		}
-		if r.shot, err = sys.Shotgun(0); err != nil {
+		if r.shot, err = sys.Run("shotgun", 0); err != nil {
 			t.Fatal(err)
 		}
-		if r.conf, err = sys.Confluence(0); err != nil {
+		if r.conf, err = sys.Run("confluence", 0); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, r)

@@ -9,12 +9,12 @@
 //	twigbench -check -tolerance 0.10   # measure and exit 1 on >10% kIPS regression
 //	twigbench -json                    # one JSON object per app instead of the table
 //
-// The baseline file keeps the single-app format cmd/twigstat -bench
-// introduced (benchmark/app/instructions/results), so -update and
-// -check require exactly one app; the matrix mode (-apps with several
-// names, or "all") is for reading the performance landscape, not for
-// regression tracking. PERFORMANCE.md documents the methodology and
-// when to regenerate the baseline.
+// The baseline file is single-app (benchmark/app/instructions/results),
+// so -update and -check require exactly one app; the matrix mode
+// (-apps with several names, or "all") is for reading the performance
+// landscape, not for regression tracking. -schemes takes any names in
+// the scheme table (twig.SchemeNames). PERFORMANCE.md documents the
+// methodology and when to regenerate the baseline.
 package main
 
 import (
@@ -22,14 +22,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"twig"
 )
 
-// benchResult is one scheme's timing, matching the JSON schema
-// cmd/twigstat -bench established.
+// benchResult is one scheme's timing in BENCH_pipeline.json.
 type benchResult struct {
 	Scheme  string  `json:"scheme"`
 	NsPerOp int64   `json:"ns_per_op"`
@@ -62,7 +62,7 @@ type benchFile struct {
 func main() {
 	var (
 		apps         = flag.String("apps", "cassandra", `comma-separated applications, or "all"`)
-		schemes      = flag.String("schemes", "baseline,twig,shotgun,hierarchy,shadow", "comma-separated schemes (baseline|twig|shotgun|hierarchy|shadow)")
+		schemes      = flag.String("schemes", "baseline,twig,shotgun,hierarchy,shadow", "comma-separated schemes ("+strings.Join(twig.SchemeNames(), "|")+")")
 		instructions = flag.Int64("n", 1_000_000, "simulation window per run")
 		train        = flag.Int("train", 0, "Twig training input number")
 		reps         = flag.Int("reps", 3, "timed repetitions per cell (best is kept, after one warmup)")
@@ -79,10 +79,10 @@ func main() {
 		fatal(err)
 	}
 	schemeList := strings.Split(*schemes, ",")
-	knownSchemes := map[string]bool{"baseline": true, "twig": true, "shotgun": true, "hierarchy": true, "shadow": true}
-	for _, s := range schemeList {
-		if s = strings.TrimSpace(s); !knownSchemes[s] {
-			fatal(fmt.Errorf("unknown scheme %q", s))
+	for i, s := range schemeList {
+		schemeList[i] = strings.TrimSpace(s)
+		if !slices.Contains(twig.SchemeNames(), schemeList[i]) {
+			fatal(fmt.Errorf("unknown scheme %q (known: %v)", schemeList[i], twig.SchemeNames()))
 		}
 	}
 	if (*update || *check) && len(appList) != 1 {
@@ -178,28 +178,16 @@ func benchApp(app twig.App, train int, instructions int64, reps int, schemes []s
 	if err != nil {
 		return nil, nil, err
 	}
-	runners := map[string]func() (twig.Result, error){
-		"baseline":  func() (twig.Result, error) { return sys.Baseline(0) },
-		"twig":      func() (twig.Result, error) { return sys.Twig(0) },
-		"shotgun":   func() (twig.Result, error) { return sys.Shotgun(0) },
-		"hierarchy": func() (twig.Result, error) { return sys.Hierarchy(0) },
-		"shadow":    func() (twig.Result, error) { return sys.Shadow(0) },
-	}
 	var results []benchResult
 	var serialSum int64
 	for _, name := range schemes {
-		name = strings.TrimSpace(name)
-		run, ok := runners[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown scheme %q", name)
-		}
-		if _, err := run(); err != nil { // warmup
+		if _, err := sys.Run(name, 0); err != nil { // warmup
 			return nil, nil, err
 		}
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			if _, err := run(); err != nil {
+			if _, err := sys.Run(name, 0); err != nil {
 				return nil, nil, err
 			}
 			if d := time.Since(start); d < best {
@@ -216,17 +204,13 @@ func benchApp(app twig.App, train int, instructions int64, reps int, schemes []s
 	if len(schemes) < 2 {
 		return results, nil, nil
 	}
-	names := make([]string, len(schemes))
-	for i, s := range schemes {
-		names[i] = strings.TrimSpace(s)
-	}
-	if _, err := sys.RunSchemes(0, names...); err != nil { // warmup
+	if _, err := sys.RunSchemes(0, schemes...); err != nil { // warmup
 		return nil, nil, err
 	}
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if _, err := sys.RunSchemes(0, names...); err != nil {
+		if _, err := sys.RunSchemes(0, schemes...); err != nil {
 			return nil, nil, err
 		}
 		if d := time.Since(start); d < best {
@@ -234,9 +218,9 @@ func benchApp(app twig.App, train int, instructions int64, reps int, schemes []s
 		}
 	}
 	grouped := &groupedResult{
-		Schemes: names,
+		Schemes: schemes,
 		NsPerOp: best.Nanoseconds(),
-		SimKIPS: float64(int64(len(names))*instructions) / best.Seconds() / 1000,
+		SimKIPS: float64(int64(len(schemes))*instructions) / best.Seconds() / 1000,
 		Speedup: float64(serialSum) / float64(best.Nanoseconds()),
 	}
 	return results, grouped, nil

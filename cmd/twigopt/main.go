@@ -60,12 +60,12 @@ func main() {
 	fmt.Printf("static overhead        %.2f%%\n", an.StaticOverhead*100)
 	fmt.Printf("estimated coverage     %.1f%% of sampled miss volume\n", an.EstimatedCoverage*100)
 
-	base, err := sys.Baseline(*train)
+	base, err := sys.Run("baseline", *train)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "twigopt:", err)
 		os.Exit(1)
 	}
-	opt, err := sys.Twig(*train)
+	opt, err := sys.Run("twig", *train)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "twigopt:", err)
 		os.Exit(1)

@@ -66,11 +66,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		base, err := art.RunBaseline(*input, opts)
+		base, err := art.RunScheme("baseline", *input, opts)
 		if err != nil {
 			fatal(err)
 		}
-		tw, err := art.RunTwig(*input, opts)
+		tw, err := art.RunScheme("twig", *input, opts)
 		if err != nil {
 			fatal(err)
 		}

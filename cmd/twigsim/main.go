@@ -5,7 +5,8 @@
 //
 //	twigsim -app cassandra -scheme twig -input 0 -instructions 1000000
 //
-// Schemes: baseline, ideal, twig, shotgun, confluence.
+// -scheme takes any name in the scheme table (twig.SchemeNames; -h
+// lists them).
 package main
 
 import (
@@ -14,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"twig"
 	"twig/internal/workload"
@@ -22,7 +25,7 @@ import (
 func main() {
 	var (
 		app          = flag.String("app", "cassandra", "application (see -list)")
-		scheme       = flag.String("scheme", "baseline", "baseline|ideal|twig|shotgun|confluence|hierarchy|shadow")
+		scheme       = flag.String("scheme", "baseline", strings.Join(twig.SchemeNames(), "|"))
 		input        = flag.Int("input", 0, "input configuration number (0-3)")
 		train        = flag.Int("train", 0, "Twig training input number")
 		instructions = flag.Int64("instructions", 1_000_000, "simulation window")
@@ -63,6 +66,11 @@ func main() {
 		return
 	}
 
+	if !slices.Contains(twig.SchemeNames(), *scheme) {
+		fmt.Fprintf(os.Stderr, "twigsim: unknown scheme %q (known: %v)\n", *scheme, twig.SchemeNames())
+		os.Exit(2)
+	}
+
 	cfg := twig.DefaultConfig()
 	cfg.Instructions = *instructions
 	cfg.BTBEntries = *btbEntries
@@ -88,26 +96,7 @@ func main() {
 	}
 	defer sys.Close()
 
-	var res twig.Result
-	switch *scheme {
-	case "baseline":
-		res, err = sys.Baseline(*input)
-	case "ideal":
-		res, err = sys.IdealBTB(*input)
-	case "twig":
-		res, err = sys.Twig(*input)
-	case "shotgun":
-		res, err = sys.Shotgun(*input)
-	case "confluence":
-		res, err = sys.Confluence(*input)
-	case "hierarchy":
-		res, err = sys.Hierarchy(*input)
-	case "shadow":
-		res, err = sys.Shadow(*input)
-	default:
-		fmt.Fprintf(os.Stderr, "twigsim: unknown scheme %q\n", *scheme)
-		os.Exit(2)
-	}
+	res, err := sys.Run(*scheme, *input)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "twigsim:", err)
 		os.Exit(1)
@@ -142,7 +131,7 @@ func main() {
 	}
 
 	if *scheme != "baseline" {
-		base, err := sys.Baseline(*input)
+		base, err := sys.Run("baseline", *input)
 		if err == nil {
 			fmt.Printf("speedup vs FDIP    %+.2f%%\n", twig.Speedup(base, res))
 			fmt.Printf("miss coverage      %.1f%%\n", twig.Coverage(base, res))

@@ -7,26 +7,22 @@
 //	twigstat -app cassandra -scheme twig -epoch 100000
 //	twigstat -app kafka -scheme shotgun -format jsonl
 //	twigstat -app drupal -scheme twig -trace events.jsonl -metrics -
-//	twigstat -bench -o BENCH_pipeline.json
 //
 // The tool always simulates the baseline alongside the requested scheme
 // (with the same epoch length) so per-epoch coverage is the signed
 // share of the baseline's BTB misses the scheme eliminated in that
 // epoch — negative when the scheme missed more. Output is
 // deterministic: the same flags always produce byte-identical text.
-//
-// With -bench, twigstat instead times full simulations of the three
-// main schemes (baseline, twig, shotgun) and writes ns/op and simulated
-// kIPS to a JSON file.
+// -scheme takes any name in the scheme table (twig.SchemeNames).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
+	"slices"
+	"strings"
 
 	"twig"
 	"twig/internal/metrics"
@@ -35,7 +31,7 @@ import (
 func main() {
 	var (
 		app          = flag.String("app", "cassandra", "application (twigsim -list shows all)")
-		scheme       = flag.String("scheme", "twig", "baseline|ideal|twig|shotgun|confluence|hierarchy|shadow")
+		scheme       = flag.String("scheme", "twig", strings.Join(twig.SchemeNames(), "|"))
 		input        = flag.Int("input", 0, "input configuration number (0-3)")
 		train        = flag.Int("train", 0, "Twig training input number")
 		instructions = flag.Int64("instructions", 1_000_000, "simulation window")
@@ -44,16 +40,11 @@ func main() {
 		traceFile    = flag.String("trace", "", "write the structured event trace (JSON Lines) to this file")
 		metricsFile  = flag.String("metrics", "", `write the final Prometheus exposition to this file ("-" = stdout)`)
 		listen       = flag.String("listen", "", `serve the live stats endpoint on this address (e.g. ":8080") and keep serving after the run`)
-		bench        = flag.Bool("bench", false, "time full simulations instead of reporting epochs")
-		benchOut     = flag.String("o", "BENCH_pipeline.json", "benchmark output file (with -bench)")
 	)
 	flag.Parse()
 
-	if *bench {
-		if err := runBench(*app, *train, *instructions, *benchOut); err != nil {
-			fail(err)
-		}
-		return
+	if !slices.Contains(twig.SchemeNames(), *scheme) {
+		fail(fmt.Errorf("unknown scheme %q (known: %v)", *scheme, twig.SchemeNames()))
 	}
 	if *epoch <= 0 {
 		fail(fmt.Errorf("-epoch must be positive"))
@@ -81,13 +72,13 @@ func main() {
 	}
 	defer sys.Close()
 
-	base, err := sys.Baseline(*input)
+	base, err := sys.Run("baseline", *input)
 	if err != nil {
 		fail(err)
 	}
 	res := base
 	if *scheme != "baseline" {
-		if res, err = runScheme(sys, *scheme, *input); err != nil {
+		if res, err = sys.Run(*scheme, *input); err != nil {
 			fail(err)
 		}
 	}
@@ -125,26 +116,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "twigstat:", err)
 	os.Exit(1)
-}
-
-func runScheme(sys *twig.System, scheme string, input int) (twig.Result, error) {
-	switch scheme {
-	case "baseline":
-		return sys.Baseline(input)
-	case "ideal":
-		return sys.IdealBTB(input)
-	case "twig":
-		return sys.Twig(input)
-	case "shotgun":
-		return sys.Shotgun(input)
-	case "confluence":
-		return sys.Confluence(input)
-	case "hierarchy":
-		return sys.Hierarchy(input)
-	case "shadow":
-		return sys.Shadow(input)
-	}
-	return twig.Result{}, fmt.Errorf("unknown scheme %q", scheme)
 }
 
 // epochs pairs the scheme's epochs with the baseline's so coverage can
@@ -221,64 +192,4 @@ func sumICache(r twig.Result) int64 {
 		s += e.ICacheMisses
 	}
 	return s
-}
-
-// benchResult is one scheme's timing in the -bench output.
-type benchResult struct {
-	Scheme  string  `json:"scheme"`
-	NsPerOp int64   `json:"ns_per_op"`
-	SimKIPS float64 `json:"sim_kips"`
-}
-
-// runBench times a full simulation per scheme (best of three after one
-// warmup run) and writes BENCH_pipeline.json.
-func runBench(app string, train int, instructions int64, out string) error {
-	cfg := twig.DefaultConfig()
-	cfg.Instructions = instructions
-	sys, err := twig.NewSystemTrained(twig.App(app), train, cfg)
-	if err != nil {
-		return err
-	}
-	schemes := []struct {
-		name string
-		run  func() (twig.Result, error)
-	}{
-		{"baseline", func() (twig.Result, error) { return sys.Baseline(0) }},
-		{"twig", func() (twig.Result, error) { return sys.Twig(0) }},
-		{"shotgun", func() (twig.Result, error) { return sys.Shotgun(0) }},
-	}
-	results := make([]benchResult, 0, len(schemes))
-	for _, s := range schemes {
-		if _, err := s.run(); err != nil { // warmup
-			return err
-		}
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := s.run(); err != nil {
-				return err
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		results = append(results, benchResult{
-			Scheme:  s.name,
-			NsPerOp: best.Nanoseconds(),
-			SimKIPS: float64(instructions) / best.Seconds() / 1000,
-		})
-		fmt.Printf("%-10s %12d ns/op  %10.0f sim-kIPS\n",
-			s.name, best.Nanoseconds(), float64(instructions)/best.Seconds()/1000)
-	}
-	payload := struct {
-		Benchmark    string        `json:"benchmark"`
-		App          string        `json:"app"`
-		Instructions int64         `json:"instructions"`
-		Results      []benchResult `json:"results"`
-	}{"pipeline", app, instructions, results}
-	data, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(data, '\n'), 0o644)
 }

@@ -55,11 +55,11 @@ func TestOutputGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.Baseline(input)
+	base, err := sys.Run("baseline", input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Twig(input)
+	res, err := sys.Run("twig", input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.Baseline(0)
+	base, err := sys.Run("baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,19 @@
 //
 // A trace is bound to the exact binary it was recorded from (the app
 // name and its default build); replaying against anything else fails
-// the fingerprint check.
+// the fingerprint check. -scheme takes any scheme in the scheme table
+// that runs that original binary, built at the paper's operating point
+// (core.DefaultOptions).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"twig/internal/btb"
+	"twig/internal/core"
 	"twig/internal/pipeline"
-	"twig/internal/prefetcher"
 	"twig/internal/telemetry"
 	"twig/internal/trace"
 	"twig/internal/workload"
@@ -31,7 +33,7 @@ func main() {
 		input  = flag.Int("input", 0, "input configuration number")
 		n      = flag.Int64("n", 1_000_000, "instructions to record/replay")
 		out    = flag.String("o", "app.trc", "output trace file (with -record)")
-		scheme = flag.String("scheme", "baseline", "baseline|ideal|shotgun|confluence|hierarchy|shadow (with -replay)")
+		scheme = flag.String("scheme", "baseline", strings.Join(replayable(), "|")+" (with -replay)")
 		epoch  = flag.Int64("epoch", 0, "sample metrics every N instructions and print per-epoch IPC (with -replay)")
 		events = flag.String("events", "", "write the structured event trace (JSON Lines) to this file (with -replay)")
 	)
@@ -83,23 +85,15 @@ func main() {
 			defer ef.Close()
 			cfg.Telemetry.Tracer = telemetry.NewTracer(ef)
 		}
-		switch *scheme {
-		case "baseline":
-			cfg.Scheme = prefetcher.NewBaseline(btb.DefaultConfig(), 0, false)
-		case "ideal":
-			cfg.Scheme = prefetcher.NewIdeal()
-		case "shotgun":
-			cfg.RASEntries = 1536
-			cfg.Scheme = prefetcher.NewShotgun(prefetcher.DefaultShotgunConfig())
-		case "confluence":
-			cfg.Scheme = prefetcher.NewConfluence(prefetcher.DefaultConfluenceConfig())
-		case "hierarchy":
-			cfg.Scheme = prefetcher.NewHierarchy(btb.DefaultHierarchyConfig())
-		case "shadow":
-			cfg.Scheme = prefetcher.NewShadow(prefetcher.DefaultShadowConfig())
-		default:
-			fatal(fmt.Errorf("unknown scheme %q", *scheme))
+		spec, err := core.LookupScheme(*scheme)
+		if err != nil {
+			fatal(err)
 		}
+		if spec.Optimized {
+			fatal(fmt.Errorf("scheme %q runs the Twig-optimized binary; a trace replays only the original binary it was recorded from (replayable: %v)",
+				*scheme, replayable()))
+		}
+		spec.Setup(&cfg, core.DefaultOptions())
 		res, err := pipeline.RunSource(p, rd, cfg)
 		if err != nil {
 			fatal(err)
@@ -126,4 +120,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "twigtrace:", err)
 	os.Exit(1)
+}
+
+// replayable lists the table's schemes that run the original binary.
+func replayable() []string {
+	var names []string
+	for _, s := range core.Schemes {
+		if !s.Optimized {
+			names = append(names, s.Name)
+		}
+	}
+	return names
 }

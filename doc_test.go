@@ -1,59 +1,112 @@
 package twig_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"twig/internal/core"
 )
 
-// TestDocComments walks every non-test source file in the repository
-// and fails on exported declarations without doc comments — the
-// documentation deliverable, enforced mechanically.
-func TestDocComments(t *testing.T) {
-	var srcDirs []string
+// sourceFiles parses every non-test Go source file in the repository
+// (skipping hidden directories and testdata), keyed by path.
+func sourceFiles(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+	t.Helper()
+	files := map[string]*ast.File{}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		pkgs, err := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+		for _, pkg := range pkgs {
+			for fname, file := range pkg.Files {
+				files[fname] = file
 			}
-			srcDirs = append(srcDirs, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
 
-	fset := token.NewFileSet()
+// TestDocComments walks every non-test source file in the repository
+// and fails on exported declarations without doc comments — the
+// documentation deliverable, enforced mechanically.
+func TestDocComments(t *testing.T) {
 	var missing []string
-	for _, dir := range srcDirs {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, pkg := range pkgs {
-			for fname, file := range pkg.Files {
-				for _, decl := range file.Decls {
-					for _, m := range undocumented(decl) {
-						missing = append(missing, fname+": "+m)
-					}
-				}
+	for fname, file := range sourceFiles(t, token.NewFileSet()) {
+		for _, decl := range file.Decls {
+			for _, m := range undocumented(decl) {
+				missing = append(missing, fname+": "+m)
 			}
 		}
 	}
 	if len(missing) > 0 {
+		sort.Strings(missing)
 		t.Errorf("%d exported declarations lack doc comments:\n  %s",
 			len(missing), strings.Join(missing, "\n  "))
+	}
+}
+
+// TestSchemeTableIsTheOneHome fails on any case clause or
+// composite-literal key that is a string literal naming a scheme:
+// mapping a scheme's name to its behaviour is the core.Schemes table's
+// job alone, and every other layer looks names up there. The table
+// itself names schemes as field values, so internal/core needs no
+// exemption. perfbench/ is exempt: its private switch is an
+// independent check on core.RunScheme.
+func TestSchemeTableIsTheOneHome(t *testing.T) {
+	known := map[string]bool{}
+	for _, name := range core.SchemeNames {
+		known[name] = true
+	}
+	fset := token.NewFileSet()
+	var hits []string
+	for fname, file := range sourceFiles(t, fset) {
+		if strings.HasPrefix(filepath.ToSlash(fname), "perfbench/") {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var exprs []ast.Expr
+			switch n := n.(type) {
+			case *ast.CaseClause:
+				exprs = n.List
+			case *ast.KeyValueExpr:
+				exprs = []ast.Expr{n.Key}
+			}
+			for _, e := range exprs {
+				lit, ok := e.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				if name, err := strconv.Unquote(lit.Value); err == nil && known[name] {
+					hits = append(hits, fmt.Sprintf("%s: %s", fset.Position(lit.Pos()), lit.Value))
+				}
+			}
+			return true
+		})
+	}
+	if len(hits) > 0 {
+		sort.Strings(hits)
+		t.Errorf("%d name-keyed scheme dispatches outside core.Schemes (look the name up with core.LookupScheme instead):\n  %s",
+			len(hits), strings.Join(hits, "\n  "))
 	}
 }
 

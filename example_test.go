@@ -19,9 +19,9 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, _ := sys.Baseline(0)
-	opt, _ := sys.Twig(0)
-	ideal, _ := sys.IdealBTB(0)
+	base, _ := sys.Run("baseline", 0)
+	opt, _ := sys.Run("twig", 0)
+	ideal, _ := sys.Run("ideal", 0)
 
 	fmt.Println("twig speeds up the baseline:", twig.Speedup(base, opt) > 0)
 	fmt.Println("ideal BTB bounds twig:", ideal.IPC >= opt.IPC)
@@ -32,8 +32,9 @@ func Example() {
 	// misses covered: true
 }
 
-// Comparing Twig against the hardware prefetchers the paper evaluates.
-func ExampleSystem_Shotgun() {
+// Comparing Twig against the hardware prefetchers the paper evaluates:
+// every scheme runs through Run by its name (see SchemeNames).
+func ExampleSystem_Run() {
 	cfg := twig.DefaultConfig()
 	cfg.Instructions = 200_000
 
@@ -41,9 +42,9 @@ func ExampleSystem_Shotgun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, _ := sys.Baseline(0)
-	opt, _ := sys.Twig(0)
-	shot, _ := sys.Shotgun(0)
+	base, _ := sys.Run("baseline", 0)
+	opt, _ := sys.Run("twig", 0)
+	shot, _ := sys.Run("shotgun", 0)
 
 	fmt.Println("twig covers more misses than shotgun:",
 		twig.Coverage(base, opt) > twig.Coverage(base, shot))

@@ -26,7 +26,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		base, err := sys.Baseline(0)
+		base, err := sys.Run("baseline", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		big, err := bigSys.Baseline(0)
+		big, err := bigSys.Run("baseline", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,11 +48,11 @@ func main() {
 			name string
 			run  func() (twig.Result, error)
 		}{
-			{"confluence", func() (twig.Result, error) { return sys.Confluence(0) }},
-			{"shotgun", func() (twig.Result, error) { return sys.Shotgun(0) }},
+			{"confluence", func() (twig.Result, error) { return sys.Run("confluence", 0) }},
+			{"shotgun", func() (twig.Result, error) { return sys.Run("shotgun", 0) }},
 			{"32K-entry BTB", func() (twig.Result, error) { return big, nil }},
-			{"twig", func() (twig.Result, error) { return sys.Twig(0) }},
-			{"ideal BTB", func() (twig.Result, error) { return sys.IdealBTB(0) }},
+			{"twig", func() (twig.Result, error) { return sys.Run("twig", 0) }},
+			{"ideal BTB", func() (twig.Result, error) { return sys.Run("ideal", 0) }},
 		}
 		fmt.Printf("baseline: IPC %.3f, BTB MPKI %.2f, frontend-bound %.0f%%\n\n",
 			base.IPC, base.BTBMPKI, base.FrontendBoundFrac*100)

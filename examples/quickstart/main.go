@@ -29,15 +29,15 @@ func main() {
 	fmt.Printf("analysis: %d injection placements, %d coalesce-table entries, %.1f%% static overhead\n",
 		an.Sites, an.CoalesceTableEntries, an.StaticOverhead*100)
 
-	base, err := sys.Baseline(0)
+	base, err := sys.Run("baseline", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ideal, err := sys.IdealBTB(0)
+	ideal, err := sys.Run("ideal", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := sys.Twig(0)
+	opt, err := sys.Run("twig", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

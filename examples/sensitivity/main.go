@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, err := ref.Baseline(0)
+	baseline, err := ref.Run("baseline", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func report(app twig.App, cfg twig.Config, baseline twig.Result, label string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := sys.Twig(0)
+	r, err := sys.Run("twig", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func main() {
 	}
 	defer sys.Close()
 
-	base, err := sys.Baseline(0)
+	base, err := sys.Run("baseline", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	trace.Reset() // keep only the optimized run's events
-	opt, err := sys.Twig(0)
+	opt, err := sys.Run("twig", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func main() {
 		}
 		fmt.Printf("%-10s %12s %12s %12s %12s\n", "traffic", "base IPC", "twig IPC", "speedup", "coverage")
 		for input := 0; input <= 3; input++ {
-			base, err := sys.Baseline(input)
+			base, err := sys.Run("baseline", input)
 			if err != nil {
 				log.Fatal(err)
 			}
-			opt, err := sys.Twig(input)
+			opt, err := sys.Run("twig", input)
 			if err != nil {
 				log.Fatal(err)
 			}

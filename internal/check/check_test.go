@@ -66,15 +66,13 @@ type schemeRun struct {
 }
 
 func schemes(a *core.Artifacts) []schemeRun {
-	return []schemeRun{
-		{"baseline", a.RunBaseline},
-		{"ideal", a.RunIdealBTB},
-		{"twig", a.RunTwig},
-		{"shotgun", a.RunShotgun},
-		{"confluence", a.RunConfluence},
-		{"hierarchy", a.RunHierarchy},
-		{"shadow", a.RunShadow},
+	var out []schemeRun
+	for _, name := range []string{"baseline", "ideal", "twig", "shotgun", "confluence", "hierarchy", "shadow"} {
+		out = append(out, schemeRun{name, func(input int, opts core.Options) (*pipeline.Result, error) {
+			return a.RunScheme(name, input, opts)
+		}})
 	}
+	return out
 }
 
 // runChecked simulates one scheme with the full verification rig
@@ -251,7 +249,7 @@ func TestVerifySeriesRejectsTamperedSeries(t *testing.T) {
 	opts.Pipeline.MaxInstructions = matrixWindow
 	opts.Telemetry.Registry = telemetry.NewRegistry()
 	opts.Telemetry.EpochLength = matrixEpoch
-	res, err := art.RunBaseline(0, opts)
+	res, err := art.RunScheme("baseline", 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

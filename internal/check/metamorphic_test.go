@@ -36,7 +36,7 @@ func TestMetamorphicTraceIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Twig(1)
+		res, err := sys.Run("twig", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,20 +68,13 @@ func TestMetamorphicEpochAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []struct {
-		name string
-		run  func(int) (twig.Result, error)
-	}{
-		{"baseline", sys.Baseline},
-		{"twig", sys.Twig},
-		{"shotgun", sys.Shotgun},
-	} {
-		res, err := s.run(0)
+	for _, name := range []string{"baseline", "twig", "shotgun"} {
+		res, err := sys.Run(name, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(res.Epochs) < 2 {
-			t.Fatalf("%s: only %d epochs", s.name, len(res.Epochs))
+			t.Fatalf("%s: only %d epochs", name, len(res.Epochs))
 		}
 		var instrs, misses, covered int64
 		var cycles float64
@@ -92,16 +85,16 @@ func TestMetamorphicEpochAdditivity(t *testing.T) {
 			cycles += e.Cycles
 		}
 		if instrs != res.Instructions {
-			t.Errorf("%s: epoch instructions sum to %d, run says %d", s.name, instrs, res.Instructions)
+			t.Errorf("%s: epoch instructions sum to %d, run says %d", name, instrs, res.Instructions)
 		}
 		if misses != res.BTBMisses {
-			t.Errorf("%s: epoch BTB misses sum to %d, run says %d", s.name, misses, res.BTBMisses)
+			t.Errorf("%s: epoch BTB misses sum to %d, run says %d", name, misses, res.BTBMisses)
 		}
 		if covered != res.PrefetchUsed {
-			t.Errorf("%s: epoch covered misses sum to %d, run says %d", s.name, covered, res.PrefetchUsed)
+			t.Errorf("%s: epoch covered misses sum to %d, run says %d", name, covered, res.PrefetchUsed)
 		}
 		if math.Abs(cycles-res.Cycles) > 1e-6 {
-			t.Errorf("%s: epoch cycles sum to %f, run says %f", s.name, cycles, res.Cycles)
+			t.Errorf("%s: epoch cycles sum to %f, run says %f", name, cycles, res.Cycles)
 		}
 	}
 }
@@ -127,7 +120,7 @@ func TestMetamorphicWarmupInvariance(t *testing.T) {
 	full.Pipeline.MaxInstructions = prefix + steady
 	full.Telemetry.Registry = telemetry.NewRegistry()
 	full.Telemetry.EpochLength = prefix
-	resFull, err := art.RunBaseline(0, full)
+	resFull, err := art.RunScheme("baseline", 0, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +128,7 @@ func TestMetamorphicWarmupInvariance(t *testing.T) {
 	warm := core.DefaultOptions()
 	warm.Pipeline.Warmup = prefix
 	warm.Pipeline.MaxInstructions = steady
-	resWarm, err := art.RunBaseline(0, warm)
+	resWarm, err := art.RunScheme("baseline", 0, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 )
@@ -36,13 +37,13 @@ type SchemeRun struct {
 //   - signed coverage is finite and within [-100, 100], clamped
 //     coverage within [0, 100];
 //   - no scheme's IPC exceeds the ideal BTB's beyond IPCTolerance;
-//   - runs named "hierarchy" or "shadow" never miss more than the
-//     baseline. Both schemes drive their L1/main BTB with exactly the
-//     baseline's lookup and resolve-fill stream (the backing level /
-//     shadow buffer only converts misses into hits, never writing the
-//     main structure outside the resolve fill), so the bound is
-//     structural — see SCHEMES.md — and holds exactly, per kind and
-//     in aggregate.
+//   - runs of a scheme whose core.Schemes entry is BoundedByBaseline
+//     (hierarchy, shadow) never miss more than the baseline. Such a
+//     scheme drives its L1/main BTB with exactly the baseline's lookup
+//     and resolve-fill stream (the backing level / shadow buffer only
+//     converts misses into hits, never writing the main structure
+//     outside the resolve fill), so the bound is structural — see
+//     SCHEMES.md — and holds exactly, per kind and in aggregate.
 //
 // base and ideal are the baseline and ideal-BTB runs; schemes lists
 // every other configuration (Twig, Shotgun, Confluence, extensions).
@@ -88,7 +89,7 @@ func CrossScheme(base, ideal *pipeline.Result, schemes []SchemeRun) error {
 		if ipc := s.Res.IPC(); ipc > idealIPC*(1+IPCTolerance) {
 			fail("%s: IPC %f exceeds ideal's %f beyond tolerance", s.Name, ipc, idealIPC)
 		}
-		if s.Name == "hierarchy" || s.Name == "shadow" {
+		if spec, err := core.LookupScheme(s.Name); err == nil && spec.BoundedByBaseline {
 			if misses > baseMisses {
 				fail("%s: %d direct misses exceed baseline's %d (structural bound)", s.Name, misses, baseMisses)
 			}

@@ -199,8 +199,9 @@ func (a *Artifacts) Reoptimize(optCfg twigopt.Config) (*program.Program, *twigop
 	return optimized, an, nil
 }
 
-// RunProgram simulates an arbitrary variant of the application's binary
-// (reordered, re-optimized, hand-modified) under the given scheme.
+// RunProgram simulates any variant of the application's binary
+// (a.Program, a.Optimized, or a reordered or re-optimized one) under a
+// scheme instance outside the table (sweeps, ablations, extensions).
 func (a *Artifacts) RunProgram(prog *program.Program, input int, opts Options, scheme prefetcher.Scheme) (*pipeline.Result, error) {
 	cfg := machineConfig(opts, a.Params)
 	cfg.Scheme = scheme
@@ -213,53 +214,26 @@ func (a *Artifacts) RunOptimized(optimized *program.Program, input int, opts Opt
 	return a.RunProgram(optimized, input, opts, prefetcher.NewBaseline(opts.BTB, opts.PrefetchBuffer, false))
 }
 
-// SchemeNames lists the named schemes RunScheme and RunSchemes accept,
-// in the conventional reporting order.
-var SchemeNames = []string{"baseline", "ideal", "twig", "shotgun", "confluence", "hierarchy", "shadow"}
-
 // schemeConfig returns the machine configuration and program variant
-// for one named scheme — the single source of truth shared by the
-// scalar wrappers (RunBaseline, RunTwig, …) and grouped RunSchemes, so
-// the two execution paths cannot drift apart.
+// for one named scheme from its Schemes entry — shared by RunScheme,
+// grouped RunSchemes and the sampled and checkpointed runners, so the
+// execution paths cannot drift apart.
 func (a *Artifacts) schemeConfig(name string, opts Options) (pipeline.Config, *program.Program, error) {
+	spec, err := LookupScheme(name)
+	if err != nil {
+		return pipeline.Config{}, nil, fmt.Errorf("core: %w", err)
+	}
 	cfg := machineConfig(opts, a.Params)
 	// Each scheme's run nests under its own "scheme:<name>" ledger
 	// span, replacing the caller's parent span: grouped and sequential
 	// execution then produce the same span tree, and concurrent
 	// consumers never share a span.
 	cfg.Telemetry.Span = opts.Telemetry.Span.Child("scheme:"+name, "sim")
-	switch name {
-	case "baseline":
-		cfg.Scheme = prefetcher.NewBaseline(opts.BTB, 0, false)
-		return cfg, a.Program, nil
-	case "ideal":
-		cfg.Scheme = prefetcher.NewIdeal()
-		return cfg, a.Program, nil
-	case "twig":
-		cfg.Scheme = prefetcher.NewBaseline(opts.BTB, opts.PrefetchBuffer, false)
+	spec.Setup(&cfg, opts)
+	if spec.Optimized {
 		return cfg, a.Optimized, nil
-	case "shotgun":
-		// Shotgun's published configuration includes its 1536-entry RAS.
-		cfg.RASEntries = 1536
-		cfg.Scheme = prefetcher.NewShotgun(prefetcher.DefaultShotgunConfig())
-		return cfg, a.Program, nil
-	case "confluence":
-		ccfg := prefetcher.DefaultConfluenceConfig()
-		ccfg.BTB = opts.BTB
-		cfg.Scheme = prefetcher.NewConfluence(ccfg)
-		return cfg, a.Program, nil
-	case "hierarchy":
-		hcfg := btb.DefaultHierarchyConfig()
-		hcfg.L1 = opts.BTB
-		cfg.Scheme = prefetcher.NewHierarchy(hcfg)
-		return cfg, a.Program, nil
-	case "shadow":
-		scfg := prefetcher.DefaultShadowConfig()
-		scfg.BTB = opts.BTB
-		cfg.Scheme = prefetcher.NewShadow(scfg)
-		return cfg, a.Program, nil
 	}
-	return pipeline.Config{}, nil, fmt.Errorf("core: unknown scheme %q", name)
+	return cfg, a.Program, nil
 }
 
 // RunScheme simulates one named scheme (see SchemeNames).
@@ -313,15 +287,12 @@ func Groupable(opts Options) bool {
 func (a *Artifacts) RunSchemes(names []string, input int, opts Options) (map[string]*pipeline.Result, error) {
 	out := make(map[string]*pipeline.Result, len(names))
 	uniq := make([]string, 0, len(names))
-	// Validate against span-less options: the real schemeConfig call
-	// below is the one that may create each scheme's ledger span, and
-	// it must happen exactly once per scheme so span paths carry no
-	// spurious sibling ordinals.
-	vopts := opts
-	vopts.Telemetry.Span = nil
+	// Validate by lookup alone: the schemeConfig call below is the one
+	// that creates each scheme's ledger span, and it must happen exactly
+	// once per scheme so span paths carry no spurious sibling ordinals.
 	for _, n := range names {
-		if _, _, err := a.schemeConfig(n, vopts); err != nil {
-			return nil, err
+		if _, err := LookupScheme(n); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		if _, dup := out[n]; !dup {
 			out[n] = nil
@@ -392,61 +363,5 @@ func (a *Artifacts) RunSchemes(names []string, input int, opts Options) (map[str
 	return out, nil
 }
 
-// RunBaseline simulates the unmodified binary with a plain BTB.
-func (a *Artifacts) RunBaseline(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("baseline", input, opts)
-}
-
-// RunIdealBTB simulates the unmodified binary with an ideal BTB.
-func (a *Artifacts) RunIdealBTB(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("ideal", input, opts)
-}
-
-// RunTwig simulates the optimized binary: baseline BTB plus the
-// architectural prefetch buffer fed by the injected instructions.
-func (a *Artifacts) RunTwig(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("twig", input, opts)
-}
-
-// RunShotgun simulates the unmodified binary under Shotgun (with its
-// published 1536-entry return address stack).
-func (a *Artifacts) RunShotgun(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("shotgun", input, opts)
-}
-
-// RunConfluence simulates the unmodified binary under Confluence.
-func (a *Artifacts) RunConfluence(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("confluence", input, opts)
-}
-
-// RunHierarchy simulates the unmodified binary under the two-level
-// Micro BTB hierarchy (opts.BTB as the L1, default last level).
-func (a *Artifacts) RunHierarchy(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("hierarchy", input, opts)
-}
-
-// RunShadow simulates the unmodified binary under the shadow-branch
-// scheme (opts.BTB as the main BTB, default shadow branch buffer).
-func (a *Artifacts) RunShadow(input int, opts Options) (*pipeline.Result, error) {
-	return a.RunScheme("shadow", input, opts)
-}
-
-// RunWithScheme simulates the unmodified binary under an arbitrary
-// scheme (sweeps and ablations).
-func (a *Artifacts) RunWithScheme(input int, opts Options, scheme prefetcher.Scheme) (*pipeline.Result, error) {
-	cfg := machineConfig(opts, a.Params)
-	cfg.Scheme = scheme
-	return pipeline.Run(a.Program, a.Params.InputPhase(input, EvalPhase), cfg)
-}
-
 // Input exposes the app's exec input for ad-hoc runs.
 func (a *Artifacts) Input(n int) exec.Input { return a.Params.InputPhase(n, EvalPhase) }
-
-// RunOptimizedScheme simulates the optimized binary under an arbitrary
-// scheme that understands InsertPrefetch — used by the ext-compressed
-// experiment to show Twig composing with alternative BTB organizations.
-func (a *Artifacts) RunOptimizedScheme(input int, opts Options, scheme prefetcher.Scheme) (*pipeline.Result, error) {
-	cfg := machineConfig(opts, a.Params)
-	cfg.Scheme = scheme
-	return pipeline.Run(a.Optimized, a.Params.InputPhase(input, EvalPhase), cfg)
-}

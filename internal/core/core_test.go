@@ -44,15 +44,15 @@ func TestTwigOutperformsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := art.RunBaseline(0, opts)
+	base, err := art.RunScheme("baseline", 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := art.RunTwig(0, opts)
+	tw, err := art.RunScheme("twig", 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := art.RunIdealBTB(0, opts)
+	ideal, err := art.RunScheme("ideal", 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestTwigBeatsShotgunOnCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := art.RunBaseline(0, opts)
-	tw, _ := art.RunTwig(0, opts)
-	sh, _ := art.RunShotgun(0, opts)
+	base, _ := art.RunScheme("baseline", 0, opts)
+	tw, _ := art.RunScheme("twig", 0, opts)
+	sh, _ := art.RunScheme("shotgun", 0, opts)
 	twCov := base.BTB.DirectMisses() - tw.BTB.DirectMisses()
 	shCov := base.BTB.DirectMisses() - sh.BTB.DirectMisses()
 	if twCov <= shCov {

@@ -23,15 +23,15 @@ func init() {
 				if err != nil {
 					return err
 				}
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				ideal, err := c.IdealBTB(app, 0)
+				ideal, err := c.Scheme(app, 0, "ideal")
 				if err != nil {
 					return err
 				}
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
@@ -73,11 +73,11 @@ func init() {
 					if err != nil {
 						return err
 					}
-					base, err := c.Baseline(app, 0)
+					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.IdealBTB(app, 0)
+					ideal, err := c.Scheme(app, 0, "ideal")
 					if err != nil {
 						return err
 					}
@@ -115,11 +115,11 @@ func init() {
 			for _, rate := range rates {
 				var sp, cov []float64
 				for _, app := range c.SweepApps() {
-					base, err := c.Baseline(app, 0)
+					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.IdealBTB(app, 0)
+					ideal, err := c.Scheme(app, 0, "ideal")
 					if err != nil {
 						return err
 					}
@@ -131,7 +131,7 @@ func init() {
 						if err != nil {
 							return nil, err
 						}
-						return art.RunTwig(0, opts)
+						return art.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err

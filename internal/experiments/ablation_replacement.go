@@ -35,13 +35,13 @@ func init() {
 						return err
 					}
 					base, err := c.memoRun(key+"/base", func() (*pipeline.Result, error) {
-						return art.RunBaseline(0, opts)
+						return art.RunScheme("baseline", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
 					tw, err := c.memoRun(key+"/twig", func() (*pipeline.Result, error) {
-						return art.RunTwig(0, opts)
+						return art.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err

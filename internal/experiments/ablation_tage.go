@@ -22,15 +22,15 @@ func init() {
 					return err
 				}
 				// Statistical model numbers come from the shared caches.
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				ideal, err := c.IdealBTB(app, 0)
+				ideal, err := c.Scheme(app, 0, "ideal")
 				if err != nil {
 					return err
 				}
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
@@ -39,19 +39,19 @@ func init() {
 				tOpts := c.Opts
 				tOpts.Pipeline.UseTAGE = true
 				baseT, err := c.memoRun(fmt.Sprintf("tage-base/%s", app), func() (*pipeline.Result, error) {
-					return a.RunBaseline(0, tOpts)
+					return a.RunScheme("baseline", 0, tOpts)
 				})
 				if err != nil {
 					return err
 				}
 				idealT, err := c.memoRun(fmt.Sprintf("tage-ideal/%s", app), func() (*pipeline.Result, error) {
-					return a.RunIdealBTB(0, tOpts)
+					return a.RunScheme("ideal", 0, tOpts)
 				})
 				if err != nil {
 					return err
 				}
 				twT, err := c.memoRun(fmt.Sprintf("tage-twig/%s", app), func() (*pipeline.Result, error) {
-					return a.RunTwig(0, tOpts)
+					return a.RunScheme("twig", 0, tOpts)
 				})
 				if err != nil {
 					return err

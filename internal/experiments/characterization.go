@@ -23,7 +23,7 @@ func (c *Context) idealICache(app workload.App, input int) (*pipeline.Result, er
 	return c.memoRun(fmt.Sprintf("idealic/%s/%d", app, input), func() (*pipeline.Result, error) {
 		opts := c.Opts
 		opts.Pipeline.IdealICache = true
-		return a.RunBaseline(input, opts)
+		return a.RunScheme("baseline", input, opts)
 	})
 }
 
@@ -45,7 +45,7 @@ func (c *Context) classifiedBaseline(app workload.App, cfg btb.Config) (threeC, 
 	}
 	return memoDerived(c, fmt.Sprintf("3c/%s/%dx%d", app, cfg.Entries, cfg.Ways), func() (threeC, error) {
 		scheme := prefetcher.NewBaseline(cfg, 0, true)
-		if _, err := a.RunWithScheme(0, c.Opts, scheme); err != nil {
+		if _, err := a.RunProgram(a.Program, 0, c.Opts, scheme); err != nil {
 			return threeC{}, err
 		}
 		tc := scheme.ThreeC()
@@ -61,7 +61,7 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "retiring %", "frontend %", "bad-spec %", "backend %")
 			for _, app := range c.Apps {
-				r, err := c.Baseline(app, 0)
+				r, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
@@ -82,7 +82,7 @@ func init() {
 			t := metrics.NewTable("app", "ideal I-cache %", "ideal BTB %")
 			var ics, btbs []float64
 			for _, app := range c.Apps {
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
@@ -90,7 +90,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				ib, err := c.IdealBTB(app, 0)
+				ib, err := c.Scheme(app, 0, "ideal")
 				if err != nil {
 					return err
 				}
@@ -114,7 +114,7 @@ func init() {
 			t := metrics.NewTable("app", "BTB MPKI")
 			var all []float64
 			for _, app := range c.Apps {
-				r, err := c.Baseline(app, 0)
+				r, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
@@ -236,19 +236,19 @@ func init() {
 			t := metrics.NewTable("app", "confluence %", "shotgun %", "ideal BTB %")
 			var cs, ss []float64
 			for _, app := range c.Apps {
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				sh, err := c.Shotgun(app, 0)
+				sh, err := c.Scheme(app, 0, "shotgun")
 				if err != nil {
 					return err
 				}
-				cf, err := c.Confluence(app, 0)
+				cf, err := c.Scheme(app, 0, "confluence")
 				if err != nil {
 					return err
 				}
-				ib, err := c.IdealBTB(app, 0)
+				ib, err := c.Scheme(app, 0, "ideal")
 				if err != nil {
 					return err
 				}
@@ -359,7 +359,7 @@ func init() {
 						scheme := prefetcher.NewShotgun(scfg)
 						opts := c.Opts
 						opts.Pipeline.RASEntries = 1536
-						if _, err := a.RunWithScheme(0, opts, scheme); err != nil {
+						if _, err := a.RunProgram(a.Program, 0, opts, scheme); err != nil {
 							return rangeCounts{}, err
 						}
 						return rangeCounts{Resolved: scheme.CondResolved, Outside: scheme.CondOutsideRange}, nil
@@ -416,7 +416,7 @@ func (c *Context) kindBreakdown(misses bool) error {
 	}
 	t := metrics.NewTable(header...)
 	for _, app := range c.Apps {
-		r, err := c.Baseline(app, 0)
+		r, err := c.Scheme(app, 0, "baseline")
 		if err != nil {
 			return err
 		}

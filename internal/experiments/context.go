@@ -206,80 +206,22 @@ func memoDerived[T any](c *Context, key string, f func() (T, error)) (T, error) 
 	return v.(T), nil
 }
 
-// Baseline returns the cached baseline run for (app, input).
-func (c *Context) Baseline(app workload.App, input int) (*pipeline.Result, error) {
+// Scheme returns the cached run of one named scheme (core.SchemeNames)
+// for (app, input), computed as a job of its own. Its memo key comes
+// from runner.SchemeMemoKey, so the grouped Schemes path, the facade's
+// RunMatrix and twigd fleet workers address the same memo entry and
+// cache envelope.
+func (c *Context) Scheme(app workload.App, input int, name string) (*pipeline.Result, error) {
+	key, err := runner.SchemeMemoKey(name, app, input)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	a, err := c.Artifacts(app, 0)
 	if err != nil {
 		return nil, err
 	}
-	return c.memoRunCtx(fmt.Sprintf("base/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunBaseline(input, c.optsWithSpan(jctx))
-	})
-}
-
-// IdealBTB returns the cached ideal-BTB run for (app, input).
-func (c *Context) IdealBTB(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("ideal/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunIdealBTB(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Twig returns the cached run of the input-train-0 optimized binary.
-func (c *Context) Twig(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("twig/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunTwig(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Shotgun returns the cached Shotgun run.
-func (c *Context) Shotgun(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("shotgun/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunShotgun(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Confluence returns the cached Confluence run.
-func (c *Context) Confluence(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("confluence/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunConfluence(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Hierarchy returns the cached two-level Micro BTB hierarchy run.
-func (c *Context) Hierarchy(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("hierarchy/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunHierarchy(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Shadow returns the cached shadow-branch run.
-func (c *Context) Shadow(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("shadow/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunShadow(input, c.optsWithSpan(jctx))
+	return c.memoRunCtx(key, func(jctx stdctx.Context) (*pipeline.Result, error) {
+		return a.RunScheme(name, input, c.optsWithSpan(jctx))
 	})
 }
 
@@ -287,8 +229,8 @@ func (c *Context) Shadow(app workload.App, input int) (*pipeline.Result, error) 
 // for (app, input), keyed by scheme name. Members missing from the
 // cache are computed in one shared-stream pass (core.RunSchemes over a
 // stepcast broadcast), with already-cached members peeled out of the
-// group first; payloads and cache entries are identical to the single
-// accessors (Baseline, Twig, …), so either path warms the other.
+// group first; payloads and cache entries are identical to Scheme's, so
+// either path warms the other.
 func (c *Context) Schemes(app workload.App, input int, names ...string) (map[string]*pipeline.Result, error) {
 	if len(names) == 0 {
 		return map[string]*pipeline.Result{}, nil
@@ -296,13 +238,9 @@ func (c *Context) Schemes(app workload.App, input int, names ...string) (map[str
 	members := make([]runner.Member, len(names))
 	byID := make(map[string]string, len(names))
 	for i, n := range names {
-		// The memo key comes from the shared mapping (runner.SchemeMemoKey)
-		// so grouped runs, individual accessors, the facade's RunMatrix
-		// and twigd fleet workers all address the same memo entries and
-		// cache envelopes.
 		key, err := runner.SchemeMemoKey(n, app, input)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: unknown scheme %q", n)
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 		members[i] = runner.Member{
 			ID:    "run/" + key,

@@ -97,15 +97,15 @@ func init() {
 				if err != nil {
 					return err
 				}
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				ideal, err := c.IdealBTB(app, 0)
+				ideal, err := c.Scheme(app, 0, "ideal")
 				if err != nil {
 					return err
 				}
-				full, err := c.Twig(app, 0)
+				full, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
@@ -187,7 +187,7 @@ func init() {
 						return err
 					}
 					twSame, err := c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), func() (*r, error) {
-						return sameArt.RunTwig(input, c.Opts)
+						return sameArt.RunScheme("twig", input, c.Opts)
 					})
 					if err != nil {
 						return err
@@ -253,7 +253,7 @@ func init() {
 			t := metrics.NewTable("app", "dynamic overhead %")
 			var all []float64
 			for _, app := range c.Apps {
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
@@ -297,6 +297,6 @@ func (c *Context) bigBTB(app workload.App, entries int) (*r, error) {
 	}
 	return c.memoRun(fmt.Sprintf("btb%d/%s", entries, app), func() (*r, error) {
 		scheme := prefetcher.NewBaseline(btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}, 0, false)
-		return a.RunWithScheme(0, c.Opts, scheme)
+		return a.RunProgram(a.Program, 0, c.Opts, scheme)
 	})
 }

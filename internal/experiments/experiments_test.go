@@ -119,11 +119,11 @@ func TestContextCaching(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := NewContext(&buf, 40_000)
 	ctx.Apps = []workload.App{workload.Kafka}
-	r1, err := ctx.Baseline(workload.Kafka, 0)
+	r1, err := ctx.Scheme(workload.Kafka, 0, "baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ctx.Baseline(workload.Kafka, 0)
+	r2, err := ctx.Scheme(workload.Kafka, 0, "baseline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,32 +26,32 @@ func init() {
 				if err != nil {
 					return err
 				}
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
-				sh, err := c.Shotgun(app, 0)
+				sh, err := c.Scheme(app, 0, "shotgun")
 				if err != nil {
 					return err
 				}
 				boom, err := c.memoRun(fmt.Sprintf("boomerang/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewBoomerang(c.Opts.BTB))
+					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewBoomerang(c.Opts.BTB))
 				})
 				if err != nil {
 					return err
 				}
 				bulk, err := c.memoRun(fmt.Sprintf("bulk/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewBulkPreload(prefetcher.DefaultBulkPreloadConfig()))
+					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewBulkPreload(prefetcher.DefaultBulkPreloadConfig()))
 				})
 				if err != nil {
 					return err
 				}
 				phantom, err := c.memoRun(fmt.Sprintf("phantom/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewPhantom(prefetcher.DefaultPhantomConfig()))
+					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewPhantom(prefetcher.DefaultPhantomConfig()))
 				})
 				if err != nil {
 					return err
@@ -84,11 +84,11 @@ func init() {
 				if err != nil {
 					return err
 				}
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
@@ -145,23 +145,23 @@ func init() {
 				if err != nil {
 					return err
 				}
-				base, err := c.Baseline(app, 0)
+				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
 				}
-				tw, err := c.Twig(app, 0)
+				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
 				ccfg := prefetcher.DefaultCompressedConfig()
 				compBase, err := c.memoRun(fmt.Sprintf("comp-base/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewCompressed(ccfg, 0))
+					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewCompressed(ccfg, 0))
 				})
 				if err != nil {
 					return err
 				}
 				compTwig, err := c.memoRun(fmt.Sprintf("comp-twig/%s", app), func() (*pipeline.Result, error) {
-					return a.RunOptimizedScheme(0, c.Opts, prefetcher.NewCompressed(ccfg, c.Opts.PrefetchBuffer))
+					return a.RunProgram(a.Optimized, 0, c.Opts, prefetcher.NewCompressed(ccfg, c.Opts.PrefetchBuffer))
 				})
 				if err != nil {
 					return err

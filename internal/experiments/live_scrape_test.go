@@ -113,7 +113,7 @@ func TestLiveScrapeDuringGroupedRun(t *testing.T) {
 	if _, err := ctx.Schemes(workload.Verilator, 0, "baseline", "ideal"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Twig(workload.Verilator, 1); err != nil {
+	if _, err := ctx.Scheme(workload.Verilator, 1, "twig"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -125,9 +125,9 @@ func init() {
 				for _, scheme := range []string{"baseline", "twig"} {
 					exact, err := func() (*pipeline.Result, error) {
 						if scheme == "twig" {
-							return c.Twig(app, 0)
+							return c.Scheme(app, 0, "twig")
 						}
-						return c.Baseline(app, 0)
+						return c.Scheme(app, 0, "baseline")
 					}()
 					if err != nil {
 						return err

@@ -9,39 +9,35 @@ import (
 	"twig/internal/workload"
 )
 
-// sweepPoint runs baseline/ideal/Twig/Shotgun/Confluence for one
-// application under modified options, rebuilding artifacts when the BTB
-// geometry differs from the cached one (the profile depends on the
-// BTB), and returns each scheme's raw speedup percentage. The BTB-size
-// and associativity sweeps report raw speedups rather than %-of-ideal
+// sweepPoint runs baseline/Twig/Shotgun/Confluence for one application
+// under modified options, rebuilding artifacts when the BTB geometry
+// differs from the cached one (the profile depends on the BTB), and
+// returns each scheme's raw speedup percentage. The BTB-size and
+// associativity sweeps report raw speedups rather than %-of-ideal
 // because large BTBs drive the ideal headroom toward zero at this
-// workload scale, which makes a ratio numerically meaningless.
+// workload scale, which makes a ratio numerically meaningless; so no
+// ideal run is made (the ideal BTB ignores the swept geometry anyway).
 func (c *Context) sweepPoint(app workload.App, opts core.Options, key string) (twig, shotgun, confluence float64, err error) {
 	art, err := c.sweepArtifacts(app, opts, key)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	base, err := c.memoRun("swp-base/"+key, func() (*r, error) { return art.RunBaseline(0, opts) })
+	base, err := c.memoRun("swp-base/"+key, func() (*r, error) { return art.RunScheme("baseline", 0, opts) })
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ideal, err := c.memoRun("swp-ideal/"+key, func() (*r, error) { return art.RunIdealBTB(0, opts) })
+	tw, err := c.memoRun("swp-twig/"+key, func() (*r, error) { return art.RunScheme("twig", 0, opts) })
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	tw, err := c.memoRun("swp-twig/"+key, func() (*r, error) { return art.RunTwig(0, opts) })
+	sh, err := c.memoRun("swp-shot/"+key, func() (*r, error) { return art.RunScheme("shotgun", 0, opts) })
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	sh, err := c.memoRun("swp-shot/"+key, func() (*r, error) { return art.RunShotgun(0, opts) })
+	cf, err := c.memoRun("swp-conf/"+key, func() (*r, error) { return art.RunScheme("confluence", 0, opts) })
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	cf, err := c.memoRun("swp-conf/"+key, func() (*r, error) { return art.RunConfluence(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	_ = ideal // kept for the cache warm-up; sweeps report raw speedups
 	return metrics.Speedup(base.IPC(), tw.IPC()),
 		metrics.Speedup(base.IPC(), sh.IPC()),
 		metrics.Speedup(base.IPC(), cf.IPC()),
@@ -125,18 +121,18 @@ func init() {
 					if err != nil {
 						return err
 					}
-					base, err := c.Baseline(app, 0)
+					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.IdealBTB(app, 0)
+					ideal, err := c.Scheme(app, 0, "ideal")
 					if err != nil {
 						return err
 					}
 					opts := c.Opts
 					opts.PrefetchBuffer = s
 					tw, err := c.memoRun(fmt.Sprintf("buf%d/%s", s, app), func() (*r, error) {
-						return a.RunTwig(0, opts)
+						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err
@@ -165,11 +161,11 @@ func init() {
 					if err != nil {
 						return err
 					}
-					base, err := c.Baseline(app, 0)
+					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.IdealBTB(app, 0)
+					ideal, err := c.Scheme(app, 0, "ideal")
 					if err != nil {
 						return err
 					}
@@ -209,11 +205,11 @@ func init() {
 					if err != nil {
 						return err
 					}
-					base, err := c.Baseline(app, 0)
+					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.IdealBTB(app, 0)
+					ideal, err := c.Scheme(app, 0, "ideal")
 					if err != nil {
 						return err
 					}
@@ -256,19 +252,19 @@ func init() {
 					opts := c.Opts
 					opts.Pipeline.FTQSize = d
 					base, err := c.memoRun(fmt.Sprintf("ftq%d-base/%s", d, app), func() (*r, error) {
-						return a.RunBaseline(0, opts)
+						return a.RunScheme("baseline", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
 					ideal, err := c.memoRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), func() (*r, error) {
-						return a.RunIdealBTB(0, opts)
+						return a.RunScheme("ideal", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
 					tw, err := c.memoRun(fmt.Sprintf("ftq%d-twig/%s", d, app), func() (*r, error) {
-						return a.RunTwig(0, opts)
+						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err

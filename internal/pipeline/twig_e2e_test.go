@@ -23,11 +23,11 @@ func TestTwigEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := art.RunBaseline(0, opts)
-		ideal, _ := art.RunIdealBTB(0, opts)
-		tw, _ := art.RunTwig(0, opts)
-		shot, _ := art.RunShotgun(0, opts)
-		conf, _ := art.RunConfluence(0, opts)
+		base, _ := art.RunScheme("baseline", 0, opts)
+		ideal, _ := art.RunScheme("ideal", 0, opts)
+		tw, _ := art.RunScheme("twig", 0, opts)
+		shot, _ := art.RunScheme("shotgun", 0, opts)
+		conf, _ := art.RunScheme("confluence", 0, opts)
 		sp := metrics.Speedup(base.IPC(), tw.IPC())
 		spI := metrics.Speedup(base.IPC(), ideal.IPC())
 		cover := metrics.Coverage(base.BTB.DirectMisses(), tw.BTB.DirectMisses())

@@ -38,6 +38,24 @@ func TestGoldenHashes(t *testing.T) {
 	if h := HashDerived("3c/drupal/8192x4", o); h != goldenDerivedHash {
 		t.Errorf("HashDerived = %s, want %s", h, goldenDerivedHash)
 	}
+	// Scheme memo keys seed HashSim for every scheme run, so they are
+	// part of the same warm-cache contract; "baseline" keeps "base".
+	for _, c := range []struct{ scheme, key string }{
+		{"baseline", "base/kafka/2"},
+		{"ideal", "ideal/kafka/2"},
+		{"twig", "twig/kafka/2"},
+		{"shotgun", "shotgun/kafka/2"},
+		{"confluence", "confluence/kafka/2"},
+		{"hierarchy", "hierarchy/kafka/2"},
+		{"shadow", "shadow/kafka/2"},
+	} {
+		if key, err := SchemeMemoKey(c.scheme, "kafka", 2); err != nil || key != c.key {
+			t.Errorf("SchemeMemoKey(%q) = %q, %v; want %q", c.scheme, key, err, c.key)
+		}
+	}
+	if key, err := SchemeMemoKey("warp-drive", "kafka", 2); err == nil {
+		t.Errorf("SchemeMemoKey accepted an unknown scheme: %q", key)
+	}
 }
 
 func TestHashSensitivity(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"twig/internal/check"
 	"twig/internal/core"
-	"twig/internal/pipeline"
 	"twig/internal/workload"
 )
 
@@ -25,11 +24,7 @@ func simMatrix(t *testing.T, workers int) map[string][]byte {
 	opts.Pipeline.Warmup = 100_000
 	r := New(Options{Workers: workers})
 	apps := []workload.App{workload.Cassandra, workload.Kafka}
-	schemes := map[string]func(*core.Artifacts, int, core.Options) (*pipeline.Result, error){
-		"baseline": (*core.Artifacts).RunBaseline,
-		"twig":     (*core.Artifacts).RunTwig,
-		"shotgun":  (*core.Artifacts).RunShotgun,
-	}
+	schemes := []string{"baseline", "twig", "shotgun"}
 
 	type outcome struct {
 		key  string
@@ -40,7 +35,7 @@ func simMatrix(t *testing.T, workers int) map[string][]byte {
 	var keys []string
 	for _, app := range apps {
 		art := ArtifactsJob(app, 0, opts, "")
-		for name, sim := range schemes {
+		for _, name := range schemes {
 			key := fmt.Sprintf("%s/%s", name, app)
 			keys = append(keys, key)
 			jobs = append(jobs, &Job{
@@ -50,7 +45,7 @@ func simMatrix(t *testing.T, workers int) map[string][]byte {
 				Run: func(_ context.Context, deps []any) (any, error) {
 					o := opts
 					rec := check.Attach(&o.Pipeline)
-					res, err := sim(deps[0].(*core.Artifacts), 0, o)
+					res, err := deps[0].(*core.Artifacts).RunScheme(name, 0, o)
 					if err != nil {
 						return nil, err
 					}

@@ -70,31 +70,19 @@ func HashSim(key string, opts core.Options) string {
 	return hash("v1", SimVersion, "sim", key, CanonicalOptions(opts))
 }
 
-// schemeMemoPrefix maps core scheme names (core.SchemeNames) to the
-// memo-key prefixes the experiment harness has always used. The
-// mapping is load-bearing: every client that addresses a scheme's
-// result — the experiments Context, the twig facade's RunMatrix, and
-// twigd fleet workers — must produce the same key so their memo
-// entries and cache envelopes interoperate.
-var schemeMemoPrefix = map[string]string{
-	"baseline":   "base",
-	"ideal":      "ideal",
-	"twig":       "twig",
-	"shotgun":    "shotgun",
-	"confluence": "confluence",
-	"hierarchy":  "hierarchy",
-	"shadow":     "shadow",
-}
-
 // SchemeMemoKey returns the canonical memo key for one named scheme's
 // evaluation run of (app, input) — the key HashSim content-addresses
-// and the runner memoizes under "run/"+key.
+// and the runner memoizes under "run/"+key. Its first element is the
+// scheme's core.SchemeSpec.MemoPrefix. The key is load-bearing: every
+// client that addresses a scheme's result — the experiments Context,
+// the twig facade's RunMatrix, and twigd fleet workers — derives it
+// here, so their memo entries and cache envelopes interoperate.
 func SchemeMemoKey(scheme string, app workload.App, input int) (string, error) {
-	prefix, ok := schemeMemoPrefix[scheme]
-	if !ok {
-		return "", fmt.Errorf("runner: unknown scheme %q (known: %v)", scheme, core.SchemeNames)
+	spec, err := core.LookupScheme(scheme)
+	if err != nil {
+		return "", fmt.Errorf("runner: %w", err)
 	}
-	return fmt.Sprintf("%s/%s/%d", prefix, app, input), nil
+	return fmt.Sprintf("%s/%s/%d", spec.MemoPrefix, app, input), nil
 }
 
 // HashProfile returns the content hash of one training profile.

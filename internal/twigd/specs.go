@@ -10,7 +10,7 @@ import (
 // (app, input) point, so each point's schemes run in a single
 // shared-stream pass on whichever worker claims it — exactly how the
 // local RunMatrix groups them. Empty slices mean all nine
-// applications, all seven schemes, and input 0.
+// applications, every scheme in core.SchemeNames, and input 0.
 func MatrixSpecs(cfg SimConfig, apps []workload.App, schemes []string, inputs []int) []JobSpec {
 	if len(apps) == 0 {
 		apps = workload.Apps()

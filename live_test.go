@@ -78,10 +78,10 @@ func TestLiveEndpointConcurrentScrape(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, err := sys.Baseline(i % 2); err != nil {
+		if _, err := sys.Run("baseline", i%2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Twig(i % 2); err != nil {
+		if _, err := sys.Run("twig", i%2); err != nil {
 			t.Fatal(err)
 		}
 	}

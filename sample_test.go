@@ -39,7 +39,7 @@ func TestSampledAndCheckpointFacade(t *testing.T) {
 	if est.IPC.Lo > est.IPC.Value || est.IPC.Hi < est.IPC.Value {
 		t.Fatalf("malformed IPC stat %+v", est.IPC)
 	}
-	exact, err := sys.Baseline(0)
+	exact, err := sys.Run("baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

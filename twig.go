@@ -9,8 +9,8 @@
 // The package is a facade over the internal engine. Typical use:
 //
 //	sys, err := twig.NewSystem(twig.Cassandra, twig.DefaultConfig())
-//	base, _ := sys.Baseline(0)
-//	opt, _ := sys.Twig(0)
+//	base, _ := sys.Run("baseline", 0)
+//	opt, _ := sys.Run("twig", 0)
 //	fmt.Printf("speedup: %+.1f%%\n", twig.Speedup(base, opt))
 //
 // Every run is deterministic: the same application, input number and
@@ -415,74 +415,35 @@ func (s *System) Close() {
 // App returns the application this system models.
 func (s *System) App() App { return s.art.Params.Name }
 
-// Baseline simulates the unmodified binary with the baseline BTB.
-func (s *System) Baseline(input int) (Result, error) {
-	return s.run("baseline", s.art.RunBaseline, input)
-}
-
-// IdealBTB simulates the unmodified binary with a perfect BTB (the
-// paper's limit study).
-func (s *System) IdealBTB(input int) (Result, error) {
-	return s.run("ideal", s.art.RunIdealBTB, input)
-}
-
-// Twig simulates the optimized binary (baseline BTB + prefetch buffer +
-// injected brprefetch/brcoalesce instructions).
-func (s *System) Twig(input int) (Result, error) {
-	return s.run("twig", s.art.RunTwig, input)
-}
-
-// Shotgun simulates the unmodified binary under the Shotgun frontend
-// prefetcher (Kumar et al., ASPLOS 2018).
-func (s *System) Shotgun(input int) (Result, error) {
-	return s.run("shotgun", s.art.RunShotgun, input)
-}
-
-// Confluence simulates the unmodified binary under the Confluence
-// frontend prefetcher (Kaynak et al., MICRO 2015).
-func (s *System) Confluence(input int) (Result, error) {
-	return s.run("confluence", s.art.RunConfluence, input)
-}
-
-// Hierarchy simulates the unmodified binary under the two-level Micro
-// BTB hierarchy (Asheim et al.): the baseline BTB backed by a large
-// compressed last-level BTB.
-func (s *System) Hierarchy(input int) (Result, error) {
-	return s.run("hierarchy", s.art.RunHierarchy, input)
-}
-
-// Shadow simulates the unmodified binary under the shadow-branch
-// scheme ("Exposing Shadow Branches"): fetched lines are predecoded
-// and their unexecuted branches staged in a shadow branch buffer.
-func (s *System) Shadow(input int) (Result, error) {
-	return s.run("shadow", s.art.RunShadow, input)
-}
-
-// run simulates one scheme and, when checking is enabled, verifies the
-// run against the verification layer before converting its Result. The
-// options are copied per run so the attached checker hooks never leak
-// into later runs.
-func (s *System) run(name string, sim func(int, core.Options) (*pipeline.Result, error), input int) (Result, error) {
+// Run simulates one named scheme (see SchemeNames) on the given input.
+// When run verification is on (Config.Check or the twigcheck build
+// tag), the run is verified against the verification layer before its
+// Result is converted. The options are copied per run so the attached
+// checker hooks never leak into later runs.
+func (s *System) Run(scheme string, input int) (Result, error) {
+	if _, err := core.LookupScheme(scheme); err != nil {
+		return Result{}, fmt.Errorf("twig: %w", err)
+	}
 	opts := s.opts
 	var rec *check.Recorder
 	if s.check {
 		rec = check.Attach(&opts.Pipeline)
 	}
-	r, err := sim(input, opts)
+	r, err := s.art.RunScheme(scheme, input, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	if rec != nil {
 		if err := rec.Verify(r); err != nil {
-			return Result{}, fmt.Errorf("twig: %s run: %w", name, err)
+			return Result{}, fmt.Errorf("twig: %s run: %w", scheme, err)
 		}
 		if s.reg != nil {
 			if err := rec.VerifyRegistry(s.reg, r); err != nil {
-				return Result{}, fmt.Errorf("twig: %s run: %w", name, err)
+				return Result{}, fmt.Errorf("twig: %s run: %w", scheme, err)
 			}
 		}
 		if err := check.VerifySeries(r); err != nil {
-			return Result{}, fmt.Errorf("twig: %s run: %w", name, err)
+			return Result{}, fmt.Errorf("twig: %s run: %w", scheme, err)
 		}
 	}
 	return s.finish(r, nil)
@@ -495,26 +456,23 @@ func (s *System) run(name string, sim func(int, core.Options) (*pipeline.Result,
 // (see internal/stepcast), so an N-scheme comparison costs roughly one
 // execution plus N cheap consumers instead of N executions. Grouping
 // never changes the numbers — each result is bit-identical to the
-// corresponding single-scheme accessor (Baseline, Twig, …).
+// corresponding Run.
 //
 // When run verification is on (Config.Check or the twigcheck build
 // tag) the schemes run sequentially instead, each under its own
-// checker, exactly as the single accessors do; attached telemetry
-// observers (trace writers, registries) likewise force sequential runs
-// so per-run instrumentation never interleaves.
+// checker, exactly as Run does; attached telemetry observers (trace
+// writers, registries) likewise force sequential runs so per-run
+// instrumentation never interleaves.
 func (s *System) RunSchemes(input int, names ...string) (map[string]Result, error) {
 	for _, name := range names {
-		if _, ok := matrixSchemes[name]; !ok {
-			return nil, fmt.Errorf("twig: unknown scheme %q (known: %v)", name, SchemeNames())
+		if _, err := core.LookupScheme(name); err != nil {
+			return nil, fmt.Errorf("twig: %w", err)
 		}
 	}
 	if s.check {
 		out := make(map[string]Result, len(names))
 		for _, name := range names {
-			sc := matrixSchemes[name]
-			r, err := s.run(name, func(in int, o core.Options) (*pipeline.Result, error) {
-				return sc(s.art, in, o)
-			}, input)
+			r, err := s.Run(name, input)
 			if err != nil {
 				return nil, err
 			}
@@ -645,37 +603,25 @@ type MatrixKey struct {
 	Input  int
 }
 
-// SchemeNames lists the scheme names RunMatrix accepts.
+// SchemeNames lists the scheme names Run, RunSchemes and RunMatrix
+// accept, in the scheme table's order.
 func SchemeNames() []string {
-	return []string{"baseline", "ideal", "twig", "shotgun", "confluence", "hierarchy", "shadow"}
-}
-
-// matrixSchemes maps scheme names to artifact runners; their memo keys
-// come from runner.SchemeMemoKey — the shared mapping the experiment
-// harness and twigd fleet workers also use — so a cache warmed by any
-// path serves every other.
-var matrixSchemes = map[string]func(*core.Artifacts, int, core.Options) (*pipeline.Result, error){
-	"baseline":   (*core.Artifacts).RunBaseline,
-	"ideal":      (*core.Artifacts).RunIdealBTB,
-	"twig":       (*core.Artifacts).RunTwig,
-	"shotgun":    (*core.Artifacts).RunShotgun,
-	"confluence": (*core.Artifacts).RunConfluence,
-	"hierarchy":  (*core.Artifacts).RunHierarchy,
-	"shadow":     (*core.Artifacts).RunShadow,
+	return append([]string(nil), core.SchemeNames...)
 }
 
 // RunMatrix simulates every requested application × scheme × input cell
 // on a worker pool of cfg.Jobs workers, backed by a persistent result
 // cache under cfg.CacheDir. Empty slices mean "all nine applications",
-// "all seven schemes" and "input 0". Each application is built, profiled
-// and analyzed once as a job DAG shared by its cells, and each (app,
-// input) point's schemes run as one grouped job over a shared broadcast
-// stream (runner.GroupResult over core.RunSchemes) — cells already in
-// the cache peel out of their group before anything executes, so on a
-// warm cache every cell — and the training profile behind it — replays
-// from disk without executing anything. The returned map holds one
-// Result per cell and is identical for any worker count, and cell
-// cache entries are interchangeable with those of ungrouped runs.
+// "every scheme in SchemeNames" and "input 0". Each application is
+// built, profiled and analyzed once as a job DAG shared by its cells,
+// and each (app, input) point's schemes run as one grouped job over a
+// shared broadcast stream (runner.GroupResult over core.RunSchemes) —
+// cells already in the cache peel out of their group before anything
+// executes, so on a warm cache every cell — and the training profile
+// behind it — replays from disk without executing anything. The
+// returned map holds one Result per cell and is identical for any
+// worker count, and cell cache entries are interchangeable with those
+// of ungrouped runs.
 func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[MatrixKey]Result, error) {
 	if len(apps) == 0 {
 		apps = Apps()
@@ -687,8 +633,8 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 		inputs = []int{0}
 	}
 	for _, s := range schemes {
-		if _, ok := matrixSchemes[s]; !ok {
-			return nil, fmt.Errorf("twig: unknown scheme %q (known: %v)", s, SchemeNames())
+		if _, err := core.LookupScheme(s); err != nil {
+			return nil, fmt.Errorf("twig: %w", err)
 		}
 	}
 	opts := cfg.options()

@@ -40,15 +40,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if sys.App() != twig.Verilator {
 		t.Fatal("App() mismatch")
 	}
-	base, err := sys.Baseline(0)
+	base, err := sys.Run("baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := sys.Twig(0)
+	opt, err := sys.Run("twig", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := sys.IdealBTB(0)
+	ideal, err := sys.Run("ideal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestPublicAPIPriorWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Shotgun(0); err != nil {
+	if _, err := sys.Run("shotgun", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Confluence(0); err != nil {
+	if _, err := sys.Run("confluence", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +97,7 @@ func TestConfigOverrides(t *testing.T) {
 	if sys.Analysis().CoalesceTableEntries != 0 {
 		t.Fatal("DisableCoalescing ignored")
 	}
-	base, err := sys.Baseline(0)
+	base, err := sys.Run("baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestConfigOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base8k, err := big.Baseline(0)
+	base8k, err := big.Run("baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestDeterministicResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := s1.Twig(0)
-	r2, _ := s2.Twig(0)
+	r1, _ := s1.Run("twig", 0)
+	r2, _ := s2.Run("twig", 0)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("identical configurations produced different results:\n%+v\n%+v", r1, r2)
 	}
@@ -194,7 +194,7 @@ func TestNewSystemUnknownApp(t *testing.T) {
 }
 
 // TestRunSchemesMatchesAccessors: grouped shared-stream simulation
-// returns exactly what the single-scheme accessors return, and the
+// returns exactly what single-scheme System.Run calls return, and the
 // Check configuration (sequential verified fallback) agrees too.
 func TestRunSchemesMatchesAccessors(t *testing.T) {
 	if testing.Short() {
@@ -208,12 +208,8 @@ func TestRunSchemesMatchesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := map[string]func(int) (twig.Result, error){
-		"baseline": sys.Baseline, "twig": sys.Twig, "shotgun": sys.Shotgun,
-		"ideal": sys.IdealBTB, "confluence": sys.Confluence,
-	}
-	for name, run := range solo {
-		want, err := run(0)
+	for _, name := range []string{"baseline", "twig", "shotgun", "ideal", "confluence"} {
+		want, err := sys.Run(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
