@@ -28,10 +28,10 @@ type Characterization struct {
 func (s *System) Characterize(input int) (Characterization, error) {
 	scheme := prefetcher.NewBaseline(s.opts.BTB, 0, true)
 	art := s.art
-	rec := streams.NewRecorder(func(idx int32) uint64 { return art.Program.Instrs[idx].PC })
+	rec := streams.NewRecorder()
 
 	opts := s.opts
-	opts.Pipeline.Hooks = rec.Hooks()
+	opts.Pipeline.Sink = rec
 	res, err := art.RunProgram(art.Program, input, opts, scheme)
 	if err != nil {
 		return Characterization{}, err

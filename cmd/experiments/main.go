@@ -156,7 +156,7 @@ func main() {
 		if *jobs == 1 {
 			// Serial runs can additionally wire the pipeline's own
 			// counters into the registry: exactly one simulation is
-			// live at a time, and the epoch hook publishes snapshots
+			// live at a time, and the epoch sink publishes snapshots
 			// from the simulation thread.
 			period := *epoch
 			if period <= 0 {
@@ -167,7 +167,7 @@ func main() {
 			}
 			ctx.Opts.Telemetry.Registry = reg
 			ctx.Opts.Telemetry.EpochLength = period
-			ctx.Opts.Pipeline.Hooks.OnEpoch = func(int64, int64, float64) { live.Update(reg, nil) }
+			ctx.Opts.Pipeline.Sink = telemetry.EpochPublisher{Live: live, Registry: reg}
 		} else {
 			// Parallel runs publish the runner's utilization series
 			// instead: every gauge is an atomic read, so a wall-clock

@@ -9,17 +9,20 @@
 // name and its default build); replaying against anything else fails
 // the fingerprint check. -scheme takes any scheme in the scheme table
 // that runs that original binary, built at the paper's operating point
-// (core.DefaultOptions).
+// (core.DefaultOptions). A replay whose trace ends before -n
+// instructions, or fails to decode, exits 1 without printing numbers.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"twig/internal/core"
 	"twig/internal/pipeline"
+	"twig/internal/program"
 	"twig/internal/telemetry"
 	"twig/internal/trace"
 	"twig/internal/workload"
@@ -68,35 +71,18 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		rd, err := trace.NewReader(f, p)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInstructions = *n
-		cfg.BackendCPI = params.BackendCPI
-		cfg.CondMispredictRate = params.CondMispredictRate
-		cfg.Telemetry.EpochLength = *epoch
+		var ev io.Writer
 		if *events != "" {
 			ef, err := os.Create(*events)
 			if err != nil {
 				fatal(err)
 			}
 			defer ef.Close()
-			cfg.Telemetry.Tracer = telemetry.NewTracer(ef)
+			ev = ef
 		}
-		spec, err := core.LookupScheme(*scheme)
+		res, err := replayTrace(f, p, params, *scheme, *n, *epoch, ev)
 		if err != nil {
-			fatal(err)
-		}
-		if spec.Optimized {
-			fatal(fmt.Errorf("scheme %q runs the Twig-optimized binary; a trace replays only the original binary it was recorded from (replayable: %v)",
-				*scheme, replayable()))
-		}
-		spec.Setup(&cfg, core.DefaultOptions())
-		res, err := pipeline.RunSource(p, rd, cfg)
-		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", *replay, err))
 		}
 		fmt.Printf("replayed %d instructions under %s: IPC %.3f, BTB MPKI %.2f, frontend-bound %.0f%%\n",
 			res.Original, *scheme, res.IPC(), res.MPKI(), res.FrontendBoundFrac()*100)
@@ -115,6 +101,45 @@ func main() {
 		fmt.Fprintln(os.Stderr, "twigtrace: pass -record or -replay FILE")
 		os.Exit(2)
 	}
+}
+
+// replayTrace simulates n instructions of the trace read from r under
+// the named scheme, sampling epochs of the given length (0 = none) and
+// writing the event trace to events when it is non-nil. Past the end of
+// the recording, or after a decode error, the trace reader falls back
+// to sequential execution, so the numbers would describe no recorded
+// run: either case is an error naming the step it was hit at.
+func replayTrace(r io.Reader, p *program.Program, params workload.Params, scheme string, n, epoch int64, events io.Writer) (*pipeline.Result, error) {
+	rd, err := trace.NewReader(r, p)
+	if err != nil {
+		return nil, err
+	}
+	cfg := pipeline.DefaultConfig()
+	cfg.MaxInstructions = n
+	cfg.BackendCPI = params.BackendCPI
+	cfg.CondMispredictRate = params.CondMispredictRate
+	cfg.Telemetry.EpochLength = epoch
+	if events != nil {
+		cfg.Telemetry.Tracer = telemetry.NewTracer(events)
+	}
+	spec, err := core.LookupScheme(scheme)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Optimized {
+		return nil, fmt.Errorf("scheme %q runs the Twig-optimized binary; a trace replays only the original binary it was recorded from (replayable: %v)",
+			scheme, replayable())
+	}
+	spec.Setup(&cfg, core.DefaultOptions())
+	res, err := pipeline.RunSource(p, rd, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("%w at step %d of %d replayed: the trace is truncated, corrupt or shorter than -n",
+			err, rd.Recorded(), rd.Steps())
+	}
+	return res, nil
 }
 
 func fatal(err error) {

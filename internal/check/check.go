@@ -8,8 +8,8 @@
 // Three mechanisms, used together by the test suite and the twigcheck
 // CI job:
 //
-//   - Recorder (this file) attaches to pipeline.Hooks, observes one
-//     run's event stream, and cross-checks it against the run's Result,
+//   - Recorder (this file) is a run's telemetry.Sink: it observes one
+//     run's event stream and cross-checks it against the run's Result,
 //     its telemetry registry, and its epoch series.
 //   - CrossScheme (oracle.go) runs differential oracles over the same
 //     workload simulated under different BTB schemes and asserts the
@@ -34,125 +34,129 @@ import (
 	"twig/internal/telemetry"
 )
 
-// Recorder observes one simulation run through pipeline.Hooks and
+// Recorder observes one simulation run as its telemetry.Sink and
 // verifies the event stream against the run's Result. Attach it to the
 // run's Config before simulating, then call Verify on the Result.
 //
 // A Recorder verifies a single run; reuse across runs is a caller bug
 // (counts would accumulate) and Verify will report the mismatch.
 type Recorder struct {
-	// warmup records whether the run had a warmup prefix. Hooks observe
-	// only the measured window, but scheme-cumulative lifecycle laws
-	// (issued >= used) can be legitimately violated by warm-adjusted
-	// deltas when entries staged during warmup are consumed during
-	// measurement, so those laws are asserted only when warmup == 0.
+	telemetry.NopSink // block entries carry no checked law
+
+	// warmup records whether the run had a warmup prefix. The sink
+	// observes only the measured window, but scheme-cumulative
+	// lifecycle laws (issued >= used) can be legitimately violated by
+	// warm-adjusted deltas when entries staged during warmup are
+	// consumed during measurement, so those laws are asserted only when
+	// warmup == 0.
 	warmup bool
 
-	resteers   [4]int64 // indexed by pipeline.ResteerCause
-	prefetch   [4]int64 // indexed by pipeline.PrefetchEvent
-	btbMisses  int64
-	icacheMiss int64
-	taken      int64
-	blocks     int64
+	resteers                    [len(resteerCauses)]int64
+	issued, dropped, used, late int64
+	btbMisses                   int64
+	icacheMiss                  int64
 
 	epochs         int64
 	lastEpochInstr int64
 	lastEpochCycle float64
 
-	// Monotonicity state per clock domain: fetch-time hooks (OnTaken,
-	// OnBTBMiss, OnResteer, OnICacheMiss) and BPU-time hooks
-	// (OnPrefetch) each see a non-decreasing cycle sequence.
+	// Monotonicity state per clock domain: the fetch-time events
+	// (Taken, BTBMiss, Resteer, ICacheMiss) and the BPU-time prefetch
+	// events each see a non-decreasing cycle sequence.
 	lastFetchCycle float64
 	lastBPUCycle   float64
 
 	violations []string
 }
 
-// Attach wires a new Recorder into cfg.Hooks, chaining any hooks
-// already installed (they keep firing first). It reads cfg.Warmup to
-// know which cumulative laws apply.
+// resteerCauses orders Recorder.resteers.
+var resteerCauses = [...]string{telemetry.CauseBTBMiss, telemetry.CauseCond, telemetry.CauseRAS, telemetry.CauseIBTB}
+
+// Attach makes a new Recorder the observer of runs under cfg, teed
+// after any sink already installed (that sink keeps receiving every
+// event first). It reads cfg.Warmup to know which cumulative laws
+// apply.
 func Attach(cfg *pipeline.Config) *Recorder {
 	r := &Recorder{warmup: cfg.Warmup > 0}
-	prev := cfg.Hooks
-	cfg.Hooks = pipeline.Hooks{
-		OnTaken: func(fromIdx, toIdx int32, cycle float64) {
-			if prev.OnTaken != nil {
-				prev.OnTaken(fromIdx, toIdx, cycle)
-			}
-			r.taken++
-			r.fetchCycle("OnTaken", cycle)
-		},
-		OnBTBMiss: func(branchIdx int32, cycle float64) {
-			if prev.OnBTBMiss != nil {
-				prev.OnBTBMiss(branchIdx, cycle)
-			}
-			r.btbMisses++
-			r.fetchCycle("OnBTBMiss", cycle)
-		},
-		OnBlockEnter: func(blockID int32) {
-			if prev.OnBlockEnter != nil {
-				prev.OnBlockEnter(blockID)
-			}
-			r.blocks++
-		},
-		OnResteer: func(cause pipeline.ResteerCause, branchIdx int32, cycle float64) {
-			if prev.OnResteer != nil {
-				prev.OnResteer(cause, branchIdx, cycle)
-			}
-			if int(cause) >= len(r.resteers) {
-				r.violationf("OnResteer: unknown cause %d", cause)
-				return
-			}
-			r.resteers[cause]++
-			r.fetchCycle("OnResteer", cycle)
-		},
-		OnPrefetch: func(ev pipeline.PrefetchEvent, branchPC uint64, cycle float64) {
-			if prev.OnPrefetch != nil {
-				prev.OnPrefetch(ev, branchPC, cycle)
-			}
-			if int(ev) >= len(r.prefetch) {
-				r.violationf("OnPrefetch: unknown event %d", ev)
-				return
-			}
-			r.prefetch[ev]++
-			if cycle < r.lastBPUCycle {
-				r.violationf("OnPrefetch: BPU-domain cycle moved backwards: %.3f -> %.3f", r.lastBPUCycle, cycle)
-			}
-			r.lastBPUCycle = cycle
-		},
-		OnICacheMiss: func(line uint64, lead, cycle float64) {
-			if prev.OnICacheMiss != nil {
-				prev.OnICacheMiss(line, lead, cycle)
-			}
-			r.icacheMiss++
-			r.fetchCycle("OnICacheMiss", cycle)
-		},
-		OnEpoch: func(epoch, instructions int64, cycle float64) {
-			if prev.OnEpoch != nil {
-				prev.OnEpoch(epoch, instructions, cycle)
-			}
-			r.epochs++
-			if epoch != r.epochs {
-				r.violationf("OnEpoch: epoch %d out of sequence (want %d)", epoch, r.epochs)
-			}
-			if instructions <= r.lastEpochInstr {
-				r.violationf("OnEpoch: instruction count %d not past previous boundary %d", instructions, r.lastEpochInstr)
-			}
-			if cycle < r.lastEpochCycle {
-				r.violationf("OnEpoch: cycle moved backwards: %.3f -> %.3f", r.lastEpochCycle, cycle)
-			}
-			r.lastEpochInstr, r.lastEpochCycle = instructions, cycle
-		},
-	}
+	cfg.Sink = telemetry.Tee(cfg.Sink, r)
 	return r
 }
 
-// fetchCycle asserts fetch-domain hook cycles never move backwards.
-func (r *Recorder) fetchCycle(hook string, cycle float64) {
-	if cycle < r.lastFetchCycle {
-		r.violationf("%s: fetch-domain cycle moved backwards: %.3f -> %.3f", hook, r.lastFetchCycle, cycle)
+// Taken implements telemetry.Sink.
+func (r *Recorder) Taken(_, _ int32, cycle float64) { r.fetch("Taken", cycle) }
+
+// BTBMiss implements telemetry.Sink.
+func (r *Recorder) BTBMiss(_ int64, cycle float64, _ int32, _ uint64, _ string) {
+	r.btbMisses++
+	r.fetch("BTBMiss", cycle)
+}
+
+// Resteer implements telemetry.Sink.
+func (r *Recorder) Resteer(_ int64, cycle float64, cause string, _ uint64) {
+	for i, c := range resteerCauses {
+		if c == cause {
+			r.resteers[i]++
+			r.fetch("Resteer", cycle)
+			return
+		}
 	}
-	r.lastFetchCycle = cycle
+	r.violationf("Resteer: unknown cause %q", cause)
+}
+
+// PrefetchIssue implements telemetry.Sink.
+func (r *Recorder) PrefetchIssue(_ int64, cycle float64, _ uint64, _ float64) {
+	r.issued++
+	r.bpu("PrefetchIssue", cycle)
+}
+
+// PrefetchDrop implements telemetry.Sink.
+func (r *Recorder) PrefetchDrop(_ int64, cycle float64, _ uint64) {
+	r.dropped++
+	r.bpu("PrefetchDrop", cycle)
+}
+
+// PrefetchUse implements telemetry.Sink.
+func (r *Recorder) PrefetchUse(_ int64, cycle float64, _ uint64, late float64) {
+	r.used++
+	if late > 0 {
+		r.late++
+	}
+	r.bpu("PrefetchUse", cycle)
+}
+
+// ICacheMiss implements telemetry.Sink.
+func (r *Recorder) ICacheMiss(_ int64, cycle float64, _ uint64, _, _ float64) {
+	r.icacheMiss++
+	r.fetch("ICacheMiss", cycle)
+}
+
+// EpochMark implements telemetry.Sink.
+func (r *Recorder) EpochMark(epoch, instructions int64, cycle float64) {
+	r.epochs++
+	if epoch != r.epochs {
+		r.violationf("EpochMark: epoch %d out of sequence (want %d)", epoch, r.epochs)
+	}
+	if instructions <= r.lastEpochInstr {
+		r.violationf("EpochMark: instruction count %d not past previous boundary %d", instructions, r.lastEpochInstr)
+	}
+	if cycle < r.lastEpochCycle {
+		r.violationf("EpochMark: cycle moved backwards: %.3f -> %.3f", r.lastEpochCycle, cycle)
+	}
+	r.lastEpochInstr, r.lastEpochCycle = instructions, cycle
+}
+
+// fetch and bpu assert that each clock domain's event cycles never
+// move backwards.
+func (r *Recorder) fetch(event string, cycle float64) {
+	r.monotone(&r.lastFetchCycle, "fetch", event, cycle)
+}
+func (r *Recorder) bpu(event string, cycle float64) { r.monotone(&r.lastBPUCycle, "BPU", event, cycle) }
+
+func (r *Recorder) monotone(last *float64, domain, event string, cycle float64) {
+	if cycle < *last {
+		r.violationf("%s: %s-domain cycle moved backwards: %.3f -> %.3f", event, domain, *last, cycle)
+	}
+	*last = cycle
 }
 
 func (r *Recorder) violationf(format string, args ...any) {
@@ -177,36 +181,35 @@ func (r *Recorder) Verify(res *pipeline.Result) error {
 		}
 	}
 
-	// Resteer causes: each hook count matches its Result counter, and
+	// Resteer causes: each event count matches its Result counter, and
 	// the causes sum to the total resteer volume.
-	eq("OnResteer(btb-miss) vs Result.BTBResteers", r.resteers[pipeline.ResteerBTBMiss], res.BTBResteers)
-	eq("OnResteer(cond) vs Result.CondMispredicts", r.resteers[pipeline.ResteerCond], res.CondMispredicts)
-	eq("OnResteer(ras) vs Result.RASMispredicts", r.resteers[pipeline.ResteerRAS], res.RASMispredicts)
-	eq("OnResteer(ibtb) vs Result.IBTBMispredicts", r.resteers[pipeline.ResteerIBTB], res.IBTBMispredicts)
-	var hooked int64
+	eq("Resteer(btb_miss) vs Result.BTBResteers", r.resteers[0], res.BTBResteers)
+	eq("Resteer(cond) vs Result.CondMispredicts", r.resteers[1], res.CondMispredicts)
+	eq("Resteer(ras) vs Result.RASMispredicts", r.resteers[2], res.RASMispredicts)
+	eq("Resteer(ibtb) vs Result.IBTBMispredicts", r.resteers[3], res.IBTBMispredicts)
+	var observed int64
 	for _, n := range r.resteers {
-		hooked += n
+		observed += n
 	}
-	eq("resteer causes sum to total resteers", hooked,
+	eq("resteer causes sum to total resteers", observed,
 		res.BTBResteers+res.CondMispredicts+res.RASMispredicts+res.IBTBMispredicts)
-	eq("OnBTBMiss count vs Result.BTBResteers", r.btbMisses, res.BTBResteers)
+	eq("BTBMiss count vs Result.BTBResteers", r.btbMisses, res.BTBResteers)
 
-	// Prefetch lifecycle: hook events match Result counters; issue
-	// volume bounds use (cumulative law, warmup-free runs only).
-	eq("OnPrefetch(used) vs Result.CoveredMisses", r.prefetch[pipeline.PrefetchUsed], res.CoveredMisses)
-	eq("OnPrefetch(late) vs Result.LateCoveredMisses", r.prefetch[pipeline.PrefetchLate], res.LateCoveredMisses)
+	// Prefetch lifecycle: events match Result counters; issue volume
+	// bounds use (cumulative law, warmup-free runs only).
+	eq("PrefetchUse count vs Result.CoveredMisses", r.used, res.CoveredMisses)
+	eq("PrefetchUse(late) count vs Result.LateCoveredMisses", r.late, res.LateCoveredMisses)
 	eq("Result.CoveredMisses vs scheme Prefetch.Used", res.CoveredMisses, res.Prefetch.Used)
 	eq("Result.LateCoveredMisses vs scheme Prefetch.Late", res.LateCoveredMisses, res.Prefetch.Late)
 	if !r.warmup {
-		// Issue accounting is hook-checkable only for software
+		// Issue accounting is checkable from events only for software
 		// prefetching: brprefetch/brcoalesce insertions all pass through
-		// InsertPrefetch and fire OnPrefetch(issued|dropped). Hardware
-		// prefetchers (Shotgun, Confluence) issue internally during
-		// predecode, which the hook interface deliberately does not see.
-		if staged := r.prefetch[pipeline.PrefetchIssued] + r.prefetch[pipeline.PrefetchDropped]; staged > 0 || res.Prefetch.Issued == 0 {
-			eq("OnPrefetch(issued+dropped) vs scheme Prefetch.Issued", staged, res.Prefetch.Issued)
-			eq("OnPrefetch(dropped) vs scheme Prefetch.Redundant",
-				r.prefetch[pipeline.PrefetchDropped], res.Prefetch.Redundant)
+		// InsertPrefetch and emit PrefetchIssue or PrefetchDrop.
+		// Hardware prefetchers (Shotgun, Confluence) issue internally
+		// during predecode, which the sink deliberately does not see.
+		if staged := r.issued + r.dropped; staged > 0 || res.Prefetch.Issued == 0 {
+			eq("PrefetchIssue+PrefetchDrop vs scheme Prefetch.Issued", staged, res.Prefetch.Issued)
+			eq("PrefetchDrop vs scheme Prefetch.Redundant", r.dropped, res.Prefetch.Redundant)
 		}
 		if res.Prefetch.Used > res.Prefetch.Issued {
 			fail("prefetch lifecycle: used %d exceeds issued %d", res.Prefetch.Used, res.Prefetch.Issued)
@@ -216,8 +219,8 @@ func (r *Recorder) Verify(res *pipeline.Result) error {
 		fail("prefetch lifecycle: late %d exceeds used %d", res.Prefetch.Late, res.Prefetch.Used)
 	}
 
-	// I-cache: one hook per demand miss.
-	eq("OnICacheMiss count vs Result.ICacheMisses", r.icacheMiss, res.ICacheMisses)
+	// I-cache: one event per demand miss.
+	eq("ICacheMiss count vs Result.ICacheMisses", r.icacheMiss, res.ICacheMisses)
 	if res.ICacheMisses > res.ICacheAccesses {
 		fail("icache misses %d exceed accesses %d", res.ICacheMisses, res.ICacheAccesses)
 	}

@@ -76,7 +76,7 @@ func schemes(a *core.Artifacts) []schemeRun {
 }
 
 // runChecked simulates one scheme with the full verification rig
-// attached — Recorder hooks, a fresh metric registry, and epoch-series
+// attached — the Recorder sink, a fresh metric registry, and epoch-series
 // sampling — and fails the test on any violated law.
 func runChecked(t *testing.T, s schemeRun, input int) *pipeline.Result {
 	t.Helper()
@@ -180,7 +180,7 @@ func TestVerifyRejectsMismatch(t *testing.T) {
 	res.Prefetch.Used = 2
 	err := rec.Verify(res)
 	if err == nil {
-		t.Fatal("Verify accepted a Result the hooks never saw")
+		t.Fatal("Verify accepted a Result the sink never saw")
 	}
 	for _, law := range []string{"BTBResteers", "CondMispredicts", "CoveredMisses"} {
 		if !strings.Contains(err.Error(), law) {
@@ -189,13 +189,13 @@ func TestVerifyRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsBackwardsClock drives the attached hooks directly
+// TestVerifyRejectsBackwardsClock drives the attached sink directly
 // with a time-travelling cycle sequence.
 func TestVerifyRejectsBackwardsClock(t *testing.T) {
 	var cfg pipeline.Config
 	rec := check.Attach(&cfg)
-	cfg.Hooks.OnTaken(0, 1, 100)
-	cfg.Hooks.OnTaken(1, 2, 99) // backwards
+	cfg.Sink.Taken(0, 1, 100)
+	cfg.Sink.Taken(1, 2, 99) // backwards
 	res := directResult(2, 0)
 	err := rec.Verify(res)
 	if err == nil || !strings.Contains(err.Error(), "moved backwards") {
@@ -212,10 +212,10 @@ func TestVerifyRejectsBadLifecycle(t *testing.T) {
 	res.Prefetch.Issued = 1
 	res.Prefetch.Used = 5 // used > issued
 	res.CoveredMisses = 5
-	// Make the hook counts match CoveredMisses so only the lifecycle
+	// Make the event counts match CoveredMisses so only the lifecycle
 	// law fires.
 	for i := 0; i < 5; i++ {
-		cfg.Hooks.OnPrefetch(pipeline.PrefetchUsed, 0, float64(i))
+		cfg.Sink.PrefetchUse(0, float64(i), 0, 0)
 	}
 	err := rec.Verify(res)
 	if err == nil || !strings.Contains(err.Error(), "exceeds issued") {

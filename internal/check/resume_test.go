@@ -1,8 +1,8 @@
 // Metamorphic resume oracle: a run split at arbitrary checkpoint
 // boundaries — serialize, restore into a fresh simulator, continue —
 // must be indistinguishable from the unsplit run, not just in its
-// final Result but in the complete hook-observed event stream. The
-// hooks persist across segments, so any drift in replayed state
+// final Result but in the complete sink-observed event stream. The
+// sink persists across segments, so any drift in replayed state
 // (clock skew, lost queue occupancy, a PRNG cursor off by one) shows
 // up as a byte difference in the streams.
 package check_test
@@ -24,29 +24,46 @@ import (
 	"twig/internal/workload"
 )
 
-// recordingHooks returns hooks that append every committed-stream
-// event (with its cycle stamps) to buf.
-func recordingHooks(buf *bytes.Buffer) pipeline.Hooks {
-	return pipeline.Hooks{
-		OnTaken: func(from, to int32, cycle float64) {
-			fmt.Fprintf(buf, "taken %d %d %.3f\n", from, to, cycle)
-		},
-		OnBTBMiss: func(idx int32, cycle float64) {
-			fmt.Fprintf(buf, "miss %d %.3f\n", idx, cycle)
-		},
-		OnBlockEnter: func(id int32) {
-			fmt.Fprintf(buf, "block %d\n", id)
-		},
-		OnResteer: func(cause pipeline.ResteerCause, idx int32, cycle float64) {
-			fmt.Fprintf(buf, "resteer %d %d %.3f\n", cause, idx, cycle)
-		},
-		OnPrefetch: func(ev pipeline.PrefetchEvent, pc uint64, cycle float64) {
-			fmt.Fprintf(buf, "prefetch %d %x %.3f\n", ev, pc, cycle)
-		},
-		OnICacheMiss: func(line uint64, lead, cycle float64) {
-			fmt.Fprintf(buf, "icache %x %.3f %.3f\n", line, lead, cycle)
-		},
-	}
+// recordingSink appends every committed-stream event, with all its
+// fields and cycle stamps, to buf. Resteers also print the branch's
+// layout index, looked up from the program by PC.
+type recordingSink struct {
+	buf *bytes.Buffer
+	p   *program.Program
+}
+
+func (r recordingSink) BlockEnter(id int32) { fmt.Fprintf(r.buf, "block %d\n", id) }
+
+func (r recordingSink) Taken(from, to int32, cycle float64) {
+	fmt.Fprintf(r.buf, "taken %d %d %.3f\n", from, to, cycle)
+}
+
+func (r recordingSink) BTBMiss(i int64, cycle float64, idx int32, pc uint64, kind string) {
+	fmt.Fprintf(r.buf, "miss %d %d %.3f %x %s\n", i, idx, cycle, pc, kind)
+}
+
+func (r recordingSink) Resteer(i int64, cycle float64, cause string, pc uint64) {
+	fmt.Fprintf(r.buf, "resteer %d %s %d %.3f %x\n", i, cause, r.p.FindInstr(pc), cycle, pc)
+}
+
+func (r recordingSink) PrefetchIssue(i int64, cycle float64, pc uint64, ready float64) {
+	fmt.Fprintf(r.buf, "prefetch issued %d %x %.3f %.3f\n", i, pc, cycle, ready)
+}
+
+func (r recordingSink) PrefetchDrop(i int64, cycle float64, pc uint64) {
+	fmt.Fprintf(r.buf, "prefetch dropped %d %x %.3f\n", i, pc, cycle)
+}
+
+func (r recordingSink) PrefetchUse(i int64, cycle float64, pc uint64, late float64) {
+	fmt.Fprintf(r.buf, "prefetch used %d %x %.3f %.3f\n", i, pc, cycle, late)
+}
+
+func (r recordingSink) ICacheMiss(i int64, cycle float64, line uint64, lead, exposed float64) {
+	fmt.Fprintf(r.buf, "icache %d %x %.3f %.3f %.3f\n", i, line, lead, cycle, exposed)
+}
+
+func (r recordingSink) EpochMark(n, i int64, cycle float64) {
+	fmt.Fprintf(r.buf, "epoch %d %d %.3f\n", n, i, cycle)
 }
 
 // resumeCase describes one scheme's pipeline-level run setup, mirroring
@@ -112,7 +129,7 @@ func resumeCases() []resumeCase {
 
 // TestMetamorphicResumeOracle splits each scheme's run at k seeded
 // random instruction boundaries and requires both the final Result and
-// the concatenated hook stream to be byte-identical to the unsplit
+// the concatenated event stream to be byte-identical to the unsplit
 // run. Splits land anywhere — inside warmup included — because the
 // checkpoint must be position-independent.
 func TestMetamorphicResumeOracle(t *testing.T) {
@@ -134,7 +151,7 @@ func TestMetamorphicResumeOracle(t *testing.T) {
 
 			var contBuf bytes.Buffer
 			cfg := base
-			cfg.Hooks = recordingHooks(&contBuf)
+			cfg.Sink = recordingSink{&contBuf, tc.prog(a)}
 			cfg.Scheme = tc.mk(opts)
 			want, err := pipeline.Run(tc.prog(a), in, cfg)
 			if err != nil {
@@ -151,9 +168,9 @@ func TestMetamorphicResumeOracle(t *testing.T) {
 			sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
 
 			var splitBuf bytes.Buffer
-			hooks := recordingHooks(&splitBuf)
+			sink := recordingSink{&splitBuf, tc.prog(a)}
 			scfg := base
-			scfg.Hooks = hooks
+			scfg.Sink = sink
 			scfg.Scheme = tc.mk(opts)
 			src, err := exec.New(tc.prog(a), in)
 			if err != nil {
@@ -172,10 +189,10 @@ func TestMetamorphicResumeOracle(t *testing.T) {
 					t.Fatalf("checkpoint at %d: %v", split, err)
 				}
 				// Fresh everything: scheme, source, simulator. Only the
-				// hook closures (and their buffer) carry over, exactly as
-				// a restored run in a new process would reattach its own.
+				// sink (and its buffer) carries over, exactly as a
+				// restored run in a new process would reattach its own.
 				ncfg := base
-				ncfg.Hooks = hooks
+				ncfg.Sink = sink
 				ncfg.Scheme = tc.mk(opts)
 				nsrc, err := exec.New(tc.prog(a), in)
 				if err != nil {
@@ -200,7 +217,7 @@ func TestMetamorphicResumeOracle(t *testing.T) {
 				t.Errorf("split run result differs (splits %v):\n got %+v\nwant %+v", splits, got, want)
 			}
 			if !bytes.Equal(contBuf.Bytes(), splitBuf.Bytes()) {
-				t.Errorf("hook streams differ (splits %v): continuous %d bytes, split %d bytes; first divergence at byte %d",
+				t.Errorf("event streams differ (splits %v): continuous %d bytes, split %d bytes; first divergence at byte %d",
 					splits, contBuf.Len(), splitBuf.Len(), firstDiff(contBuf.Bytes(), splitBuf.Bytes()))
 			}
 		})

@@ -87,9 +87,9 @@ type Artifacts struct {
 	TrainInput int
 }
 
-// machineConfig returns opts.Pipeline specialized to the app. Hooks
-// set on opts.Pipeline are preserved — callers attach them
-// deliberately (profilers, recorders).
+// machineConfig returns opts.Pipeline specialized to the app. A Sink
+// set on opts.Pipeline is preserved — callers attach it deliberately
+// (profilers, recorders).
 func machineConfig(opts Options, params workload.Params) pipeline.Config {
 	cfg := opts.Pipeline
 	cfg.BackendCPI = params.BackendCPI
@@ -259,21 +259,16 @@ func endSchemeSpan(cfg pipeline.Config, err error) {
 }
 
 // Groupable reports whether opts permits simulating several schemes
-// concurrently over one shared stream. Hooks and telemetry sinks are
-// per-run observers that grouped execution would invoke from several
-// goroutines at once, so any observer forces the sequential fallback;
-// Telemetry.EpochLength alone is safe (a nil Registry gives each run a
-// private one, see pipeline.Telemetry), and so is Telemetry.Span —
-// schemeConfig gives every scheme its own child span, and the ledger
-// behind them is concurrency-safe.
+// concurrently over one shared stream. A Sink and telemetry outputs
+// are per-run observers that grouped execution would invoke from
+// several goroutines at once, so any observer forces the sequential
+// fallback. Telemetry.EpochLength alone is safe (a nil Registry gives
+// each run a private one, see pipeline.Telemetry), and so is
+// Telemetry.Span — schemeConfig gives every scheme its own child span,
+// and the ledger behind them is concurrency-safe.
 func Groupable(opts Options) bool {
-	h := opts.Pipeline.Hooks
-	if h.OnTaken != nil || h.OnBTBMiss != nil || h.OnBlockEnter != nil ||
-		h.OnResteer != nil || h.OnPrefetch != nil || h.OnICacheMiss != nil ||
-		h.OnEpoch != nil {
-		return false
-	}
-	return opts.Telemetry.Registry == nil && opts.Telemetry.Tracer == nil
+	return opts.Pipeline.Sink == nil &&
+		opts.Telemetry.Registry == nil && opts.Telemetry.Tracer == nil
 }
 
 // RunSchemes simulates the named schemes for one input, sharing work

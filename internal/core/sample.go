@@ -15,7 +15,7 @@ import (
 
 // RunSchemeSampled estimates one named scheme's evaluation run with
 // interval sampling per opts.Sample instead of simulating every
-// instruction in detail. Hooks and telemetry sinks are ignored —
+// instruction in detail. The sink and telemetry outputs are ignored —
 // sampled runs estimate aggregates, they do not observe event streams
 // — but the scheme's ledger span is still recorded so sampled work
 // shows up in run ledgers.

@@ -278,9 +278,9 @@ func init() {
 					return err
 				}
 				fr, err := memoDerived(c, fmt.Sprintf("streams/%s", app), func() (fractions, error) {
-					rec := streams.NewRecorder(func(idx int32) uint64 { return a.Program.Instrs[idx].PC })
+					rec := streams.NewRecorder()
 					opts := c.Opts
-					opts.Pipeline.Hooks = rec.Hooks()
+					opts.Pipeline.Sink = rec
 					cfg := opts.Pipeline
 					cfg.BackendCPI = a.Params.BackendCPI
 					cfg.CondMispredictRate = a.Params.CondMispredictRate

@@ -20,8 +20,8 @@ import (
 //
 // All configurations must agree on MaxInstructions and Warmup (they
 // share one stream, so they must consume the same number of steps),
-// and must not share mutable state: a Hooks callback or Telemetry
-// sink attached to several members would be invoked from concurrent
+// and must not share mutable state: a Sink or Telemetry output
+// attached to several members would be invoked from concurrent
 // goroutines. Callers with observers should fall back to sequential
 // Run calls — core.RunSchemes does exactly that gating.
 func RunGroup(p *program.Program, in exec.Input, cfgs []Config) ([]*Result, error) {

@@ -5,72 +5,6 @@ import (
 	"twig/internal/telemetry"
 )
 
-// ResteerCause classifies a frontend redirect for the OnResteer hook
-// and the event trace.
-type ResteerCause uint8
-
-// Resteer causes, in discovery order: BTB misses resteer from decode,
-// the rest from execute.
-const (
-	// ResteerBTBMiss is a decode-time resteer from a taken direct
-	// branch missing the BTB.
-	ResteerBTBMiss ResteerCause = iota
-	// ResteerCond is an execute-time direction mispredict.
-	ResteerCond
-	// ResteerRAS is an execute-time return-address mispredict.
-	ResteerRAS
-	// ResteerIBTB is an execute-time indirect-target mispredict.
-	ResteerIBTB
-)
-
-// String implements fmt.Stringer with the trace-schema cause names.
-func (c ResteerCause) String() string {
-	switch c {
-	case ResteerBTBMiss:
-		return telemetry.CauseBTBMiss
-	case ResteerCond:
-		return telemetry.CauseCond
-	case ResteerRAS:
-		return telemetry.CauseRAS
-	case ResteerIBTB:
-		return telemetry.CauseIBTB
-	}
-	return "resteer(?)"
-}
-
-// PrefetchEvent classifies a software-prefetch lifecycle event for the
-// OnPrefetch hook.
-type PrefetchEvent uint8
-
-// Prefetch lifecycle events.
-const (
-	// PrefetchIssued: a brprefetch/brcoalesce staged an entry.
-	PrefetchIssued PrefetchEvent = iota
-	// PrefetchDropped: the staged entry was redundant (already
-	// demand- or buffer-resident) and was dropped.
-	PrefetchDropped
-	// PrefetchUsed: a demand lookup was served by a prefetched entry.
-	PrefetchUsed
-	// PrefetchLate: the used entry had not finished arriving (fires in
-	// addition to PrefetchUsed).
-	PrefetchLate
-)
-
-// String implements fmt.Stringer.
-func (e PrefetchEvent) String() string {
-	switch e {
-	case PrefetchIssued:
-		return "issued"
-	case PrefetchDropped:
-		return "dropped"
-	case PrefetchUsed:
-		return "used"
-	case PrefetchLate:
-		return "late"
-	}
-	return "prefetch(?)"
-}
-
 // Telemetry configures a run's observability. The zero value disables
 // everything and costs nothing on the hot path.
 type Telemetry struct {
@@ -82,9 +16,10 @@ type Telemetry struct {
 	// EpochLength committed original instructions into Result.Series.
 	// The final epoch may be partial.
 	EpochLength int64
-	// Tracer, when non-nil, receives the typed event stream of the
-	// measured window (warmup is not traced). The pipeline flushes it
-	// when the run completes.
+	// Tracer, when non-nil, writes the measured window's event stream,
+	// teed after Config.Sink, and is flushed when the run completes. It
+	// is telemetry output, not a Config.Sink: a traced run is neither
+	// cached nor checkpointed.
 	Tracer *telemetry.Tracer
 	// Span, when non-nil, is the run's parent in the span-structured
 	// run ledger: the pipeline hangs "warmup" and "measure" phase
@@ -103,7 +38,6 @@ func (t *Telemetry) enabled() bool {
 type telemetryState struct {
 	reg      *telemetry.Registry
 	sampler  *telemetry.Sampler
-	tracer   *telemetry.Tracer
 	epochLen int64
 	epoch    int64 // epochs emitted (1-based label of the last tick)
 	nextTick int64 // measured-instruction count of the next boundary
@@ -159,7 +93,6 @@ func (s *simulator) setupTelemetry() {
 
 	st := &telemetryState{
 		reg:      reg,
-		tracer:   t.Tracer,
 		epochLen: t.EpochLength,
 		span:     t.Span,
 		missLead: reg.Histogram("pipeline_miss_lead_cycles"),
@@ -175,8 +108,8 @@ func (s *simulator) setupTelemetry() {
 }
 
 // telBegin marks measurement start (warmup boundary): it captures the
-// series' base row and arms the tracer — warmup is neither sampled nor
-// traced.
+// series' base row and opens the "measure" phase span — warmup is not
+// sampled.
 func (s *simulator) telBegin() {
 	t := s.tel
 	if t == nil {
@@ -192,7 +125,17 @@ func (s *simulator) telBegin() {
 	}
 	t.spanMeas = t.span.Child("measure", "pipeline")
 	t.nextTick = t.epochLen
-	s.trace = t.tracer
+}
+
+// armSink opens the event channel at measurement start: Config.Sink,
+// then the event trace. Before it runs the sink is nil, so warmup is
+// never observed.
+func (s *simulator) armSink() {
+	s.sink = s.cfg.Sink
+	s.layout = s.cfg.Sink
+	if t := s.cfg.Telemetry.Tracer; t != nil {
+		s.sink = telemetry.Tee(s.sink, t)
+	}
 }
 
 // telEnd closes the run's "measure" phase span with the measured
@@ -209,10 +152,9 @@ func (s *simulator) telEnd() {
 	t.spanMeas = nil
 }
 
-// telTick emits one epoch boundary: sample the registry, mark the
-// trace, fire the hook. mi is the cumulative measured original
-// instruction count.
-func (s *simulator) telTick(hooks *Hooks, mi int64) {
+// telTick emits one epoch boundary: sample the registry and mark the
+// sink. mi is the cumulative measured original instruction count.
+func (s *simulator) telTick(mi int64) {
 	t := s.tel
 	t.epoch++
 	t.lastTick = mi
@@ -220,37 +162,8 @@ func (s *simulator) telTick(hooks *Hooks, mi int64) {
 	if t.sampler != nil {
 		t.sampler.Sample(mi)
 	}
-	if s.trace != nil {
-		s.trace.EpochMark(t.epoch, mi, cyc)
-	}
-	if hooks.OnEpoch != nil {
-		hooks.OnEpoch(t.epoch, mi, cyc)
-	}
-}
-
-// observeInsert reports a software-prefetch insertion's outcome to the
-// hooks and the event trace. During warmup the hooks are zeroed and the
-// tracer is not yet armed, so this is inert there.
-func (s *simulator) observeInsert(hooks *Hooks, out prefetcher.InsertOutcome, branchPC uint64, ready float64) {
-	if out == prefetcher.InsertIgnored {
-		return
-	}
-	cycle := s.bpuC
-	mi := s.res.Original - s.cfg.Warmup
-	if out == prefetcher.InsertStaged {
-		if hooks.OnPrefetch != nil {
-			hooks.OnPrefetch(PrefetchIssued, branchPC, cycle)
-		}
-		if s.trace != nil {
-			s.trace.PrefetchIssue(mi, cycle, branchPC, ready)
-		}
-		return
-	}
-	if hooks.OnPrefetch != nil {
-		hooks.OnPrefetch(PrefetchDropped, branchPC, cycle)
-	}
-	if s.trace != nil {
-		s.trace.PrefetchDrop(mi, cycle, branchPC)
+	if s.sink != nil {
+		s.sink.EpochMark(t.epoch, mi, cyc)
 	}
 }
 

@@ -2,9 +2,7 @@ package pipeline
 
 import (
 	"io"
-	"runtime"
 	"testing"
-	"time"
 
 	"twig/internal/btb"
 	"twig/internal/prefetcher"
@@ -46,111 +44,10 @@ func benchConfig(tb testing.TB, telemetryOn bool) (Config, func() (*Result, erro
 	return cfg, func() (*Result, error) { return Run(p, params.InputPhase(0, 1), cfg) }
 }
 
-// benchConfigSpans is the same baseline with only span tracing on: a
-// run ledger, a fresh root span per run, per-phase children inside the
-// pipeline — no registry, series, or tracer.
-func benchConfigSpans(tb testing.TB) func() (*Result, error) {
-	tb.Helper()
-	p, params := benchWorkload(tb)
-	cfg := DefaultConfig()
-	cfg.MaxInstructions = 1_000_000
-	cfg.BackendCPI = params.BackendCPI
-	cfg.CondMispredictRate = params.CondMispredictRate
-	cfg.Scheme = prefetcher.NewBaseline(btb.DefaultConfig(), 0, false)
-	led := telemetry.NewLedger()
-	return func() (*Result, error) {
-		sp := led.Begin("bench", "sim")
-		c := cfg
-		c.Telemetry.Span = sp
-		res, err := Run(p, params.InputPhase(0, 1), c)
-		sp.End()
-		return res, err
-	}
-}
-
-// TestTelemetryOverhead bounds the end-to-end cost of full
-// observability — registry, epoch series, and event tracing to
-// io.Discard — on the default 1M-instruction cassandra baseline run
-// (~80k trace events). The tracer's formatter runs on its own
-// goroutine, so with a spare CPU the simulation thread only pays the
-// binary-event append and the budget is 10%. On a single-CPU machine
-// rendering serializes with the simulation and costs ~80ns/event
-// (~11% here), so the budget widens to 25%.
-//
-// Timing comparisons are inherently noisy; runs are interleaved, each
-// side keeps its best time, and the test retries before failing.
-func TestTelemetryOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector instrumentation distorts the timing comparison")
-	}
-	bound := 0.10
-	if runtime.GOMAXPROCS(0) == 1 {
-		bound = 0.25
-	}
-
-	_, base := benchConfig(t, false)
-	_, full := benchConfig(t, true)
-	compareOverhead(t, "telemetry", base, full, bound)
-}
-
-// TestLedgerOverhead bounds the cost of span tracing on its own: a run
-// ledger with per-phase spans under the run's root. Spans are created
-// at phase boundaries only — the per-instruction loop pays a single
-// nil-check — so the measured overhead sits within timing noise of the
-// 10% budget.
-func TestLedgerOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector instrumentation distorts the timing comparison")
-	}
-	_, base := benchConfig(t, false)
-	compareOverhead(t, "ledger", base, benchConfigSpans(t), 0.10)
-}
-
-// compareOverhead asserts that full's best-of-five wall time stays
-// within bound of base's. Timing comparisons are inherently noisy;
-// runs are interleaved, each side keeps its best time, and the
-// comparison retries before failing.
-func compareOverhead(t *testing.T, label string, base, full func() (*Result, error), bound float64) {
-	t.Helper()
-	run := func(f func() (*Result, error)) time.Duration {
-		start := time.Now()
-		if _, err := f(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	run(base) // warm caches and the page allocator
-	run(full)
-
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		bBest := time.Duration(1<<63 - 1)
-		fBest := bBest
-		for i := 0; i < 5; i++ {
-			if d := run(base); d < bBest {
-				bBest = d
-			}
-			if d := run(full); d < fBest {
-				fBest = d
-			}
-		}
-		ratio = float64(fBest)/float64(bBest) - 1
-		if ratio < bound {
-			return
-		}
-	}
-	t.Errorf("%s overhead %.1f%% >= %.0f%%", label, ratio*100, bound*100)
-}
-
 // BenchmarkPipelineBaseline and BenchmarkPipelineTelemetry are the
 // benchmark pair behind the overhead budget: compare their ns/op to see
-// what full observability costs.
+// what full observability costs. The budget itself is asserted by
+// TestTelemetryOverhead, which builds only with the benchgate tag.
 func BenchmarkPipelineBaseline(b *testing.B) { benchmarkPipeline(b, false) }
 
 // BenchmarkPipelineTelemetry runs the same simulation with the registry,

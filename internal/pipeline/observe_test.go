@@ -48,9 +48,41 @@ func twigConfig(n int64) Config {
 	return cfg
 }
 
-// TestTelemetryHookCrossCheck runs with every observability hook
-// counting events and cross-checks the totals against the Result's own
-// counters — the hooks and the statistics must describe the same run.
+// countingSink counts a run's events by kind.
+type countingSink struct {
+	telemetry.NopSink
+	t                                 *testing.T
+	resteers                          map[string]int64
+	used, late, issued, dropped       int64
+	icMisses, epochs, takens, btbMiss int64
+	blocks                            int64
+}
+
+func (c *countingSink) BlockEnter(int32)                                    { c.blocks++ }
+func (c *countingSink) Taken(int32, int32, float64)                         { c.takens++ }
+func (c *countingSink) BTBMiss(int64, float64, int32, uint64, string)       { c.btbMiss++ }
+func (c *countingSink) Resteer(_ int64, _ float64, cause string, _ uint64)  { c.resteers[cause]++ }
+func (c *countingSink) PrefetchIssue(int64, float64, uint64, float64)       { c.issued++ }
+func (c *countingSink) PrefetchDrop(int64, float64, uint64)                 { c.dropped++ }
+func (c *countingSink) ICacheMiss(int64, float64, uint64, float64, float64) { c.icMisses++ }
+
+func (c *countingSink) PrefetchUse(_ int64, _ float64, _ uint64, late float64) {
+	c.used++
+	if late > 0 {
+		c.late++
+	}
+}
+
+func (c *countingSink) EpochMark(n, _ int64, _ float64) {
+	c.epochs++
+	if n != c.epochs {
+		c.t.Errorf("epoch mark with n=%d, want %d", n, c.epochs)
+	}
+}
+
+// TestTelemetryHookCrossCheck runs with a sink counting every event
+// and cross-checks the totals against the Result's own counters — the
+// event stream and the statistics must describe the same run.
 func TestTelemetryHookCrossCheck(t *testing.T) {
 	for _, warmup := range []int64{0, 10_000} {
 		t.Run(fmt.Sprintf("warmup=%d", warmup), func(t *testing.T) {
@@ -58,19 +90,8 @@ func TestTelemetryHookCrossCheck(t *testing.T) {
 			cfg := twigConfig(50_000)
 			cfg.Warmup = warmup
 			cfg.Telemetry.EpochLength = 10_000
-
-			var resteers [4]int64
-			var pf [4]int64
-			var icMisses, epochs int64
-			cfg.Hooks.OnResteer = func(c ResteerCause, _ int32, _ float64) { resteers[c]++ }
-			cfg.Hooks.OnPrefetch = func(e PrefetchEvent, _ uint64, _ float64) { pf[e]++ }
-			cfg.Hooks.OnICacheMiss = func(_ uint64, _, _ float64) { icMisses++ }
-			cfg.Hooks.OnEpoch = func(n, mi int64, _ float64) {
-				epochs++
-				if n != epochs {
-					t.Errorf("epoch hook fired with n=%d, want %d", n, epochs)
-				}
-			}
+			c := &countingSink{t: t, resteers: map[string]int64{}}
+			cfg.Sink = c
 
 			res, err := Run(p, exec.Input{Seed: 11}, cfg)
 			if err != nil {
@@ -90,36 +111,42 @@ func TestTelemetryHookCrossCheck(t *testing.T) {
 					res.ICacheMisses, res.CoveredMisses)
 			}
 
-			if got := resteers[ResteerBTBMiss]; got != res.BTBResteers {
-				t.Errorf("OnResteer(btb_miss) fired %d times, Result has %d", got, res.BTBResteers)
+			if got := c.resteers[telemetry.CauseBTBMiss]; got != res.BTBResteers {
+				t.Errorf("Resteer(btb_miss) fired %d times, Result has %d", got, res.BTBResteers)
 			}
-			if got := resteers[ResteerCond]; got != res.CondMispredicts {
-				t.Errorf("OnResteer(cond) fired %d times, Result has %d", got, res.CondMispredicts)
+			if c.btbMiss != res.BTBResteers {
+				t.Errorf("BTBMiss fired %d times, Result has %d resteers", c.btbMiss, res.BTBResteers)
 			}
-			if got := resteers[ResteerRAS]; got != res.RASMispredicts {
-				t.Errorf("OnResteer(ras) fired %d times, Result has %d", got, res.RASMispredicts)
+			if got := c.resteers[telemetry.CauseCond]; got != res.CondMispredicts {
+				t.Errorf("Resteer(cond) fired %d times, Result has %d", got, res.CondMispredicts)
 			}
-			if got := resteers[ResteerIBTB]; got != res.IBTBMispredicts {
-				t.Errorf("OnResteer(ibtb) fired %d times, Result has %d", got, res.IBTBMispredicts)
+			if got := c.resteers[telemetry.CauseRAS]; got != res.RASMispredicts {
+				t.Errorf("Resteer(ras) fired %d times, Result has %d", got, res.RASMispredicts)
 			}
-			if icMisses != res.ICacheMisses {
-				t.Errorf("OnICacheMiss fired %d times, Result has %d", icMisses, res.ICacheMisses)
+			if got := c.resteers[telemetry.CauseIBTB]; got != res.IBTBMispredicts {
+				t.Errorf("Resteer(ibtb) fired %d times, Result has %d", got, res.IBTBMispredicts)
 			}
-			if got := pf[PrefetchUsed]; got != res.CoveredMisses {
-				t.Errorf("OnPrefetch(used) fired %d times, Result has %d covered", got, res.CoveredMisses)
+			if len(c.resteers) > 4 {
+				t.Errorf("resteer causes %v, want only the four trace-schema causes", c.resteers)
 			}
-			if got := pf[PrefetchLate]; got != res.LateCoveredMisses {
-				t.Errorf("OnPrefetch(late) fired %d times, Result has %d late-covered", got, res.LateCoveredMisses)
+			if c.icMisses != res.ICacheMisses {
+				t.Errorf("ICacheMiss fired %d times, Result has %d", c.icMisses, res.ICacheMisses)
 			}
-			if got := pf[PrefetchIssued] + pf[PrefetchDropped]; got != res.Prefetch.Issued {
-				t.Errorf("OnPrefetch(issued+dropped) fired %d times, Result has %d issued", got, res.Prefetch.Issued)
+			if c.used != res.CoveredMisses {
+				t.Errorf("PrefetchUse fired %d times, Result has %d covered", c.used, res.CoveredMisses)
+			}
+			if c.late != res.LateCoveredMisses {
+				t.Errorf("PrefetchUse(late > 0) fired %d times, Result has %d late-covered", c.late, res.LateCoveredMisses)
+			}
+			if got := c.issued + c.dropped; got != res.Prefetch.Issued {
+				t.Errorf("PrefetchIssue+PrefetchDrop fired %d times, Result has %d issued", got, res.Prefetch.Issued)
 			}
 
 			if res.Series == nil {
 				t.Fatal("no series sampled")
 			}
-			if int64(res.Series.Len()) != epochs {
-				t.Errorf("series has %d epochs, OnEpoch fired %d times", res.Series.Len(), epochs)
+			if int64(res.Series.Len()) != c.epochs {
+				t.Errorf("series has %d epochs, EpochMark fired %d times", res.Series.Len(), c.epochs)
 			}
 			// 50k measured instructions at 10k per epoch: exactly 5.
 			if res.Series.Len() != 5 {

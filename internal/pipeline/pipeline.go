@@ -42,6 +42,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"twig/internal/bpu"
 	"twig/internal/btb"
@@ -113,14 +114,17 @@ type Config struct {
 	// Warmup is the number of original instructions to simulate before
 	// measurement begins: caches, BTB and predictors reach steady state
 	// and the statistics are then reset, matching the paper's
-	// "representative, steady-state" trace windows. Hooks do not fire
-	// during warmup.
+	// "representative, steady-state" trace windows. The sink observes
+	// only the measured window.
 	Warmup int64
 	// Scheme is the BTB organization + prefetcher. nil means a plain
 	// baseline BTB with no software-prefetch buffer.
 	Scheme prefetcher.Scheme
-	// Hooks receive profiling events; zero-value disables them.
-	Hooks Hooks
+	// Sink receives the measured window's event stream (profilers,
+	// recorders, live endpoints); nil disables it. The event trace,
+	// Telemetry.Tracer, receives the same events after it, except the
+	// layout-level BlockEnter and Taken, which it does not record.
+	Sink telemetry.Sink
 	// Telemetry configures the run's observability: metric registry
 	// publication, epoch sampling into Result.Series, and structured
 	// event tracing. Zero-value disables it all.
@@ -152,33 +156,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// Hooks are optional per-event callbacks for profilers and recorders.
-// They observe the committed (correct-path) stream.
-type Hooks struct {
-	// OnTaken fires for every taken branch with the branch and target
-	// layout indexes and the branch's fetch cycle.
-	OnTaken func(fromIdx, toIdx int32, cycle float64)
-	// OnBTBMiss fires for every direct-branch demand BTB miss (after
-	// prefetch-buffer lookup, i.e. real misses only).
-	OnBTBMiss func(branchIdx int32, cycle float64)
-	// OnBlockEnter fires when execution enters a basic block.
-	OnBlockEnter func(blockID int32)
-	// OnResteer fires for every frontend redirect with its cause; the
-	// ResteerBTBMiss count matches Result.BTBResteers, the execute-time
-	// causes match Cond/RAS/IBTBMispredicts.
-	OnResteer func(cause ResteerCause, branchIdx int32, cycle float64)
-	// OnPrefetch fires for software-prefetch lifecycle events: the
-	// PrefetchUsed count matches Result.CoveredMisses and the
-	// PrefetchLate count Result.LateCoveredMisses.
-	OnPrefetch func(ev PrefetchEvent, branchPC uint64, cycle float64)
-	// OnICacheMiss fires per demand L1i miss with the FDIP run-ahead
-	// lead (fetch minus BPU clock); its count matches
-	// Result.ICacheMisses.
-	OnICacheMiss func(line uint64, lead, cycle float64)
-	// OnEpoch fires at each epoch boundary (Telemetry.EpochLength)
-	// with the 1-based epoch number, the cumulative measured
-	// instruction count, and the measured-window cycle.
-	OnEpoch func(epoch, instructions int64, cycle float64)
+// legacyObservers is the %+v text of the empty observer-callback struct
+// that Sink replaced. Canonical renders it in Sink's place, so content
+// hashes and checkpoint fingerprints taken before then stay valid.
+const legacyObservers = "Hooks:{OnTaken:<nil> OnBTBMiss:<nil> OnBlockEnter:<nil> OnResteer:<nil> OnPrefetch:<nil> OnICacheMiss:<nil> OnEpoch:<nil>}"
+
+// Canonical renders c's value fields (%+v) for runner content hashes
+// and checkpoint fingerprints. The scheme instance, sink and telemetry
+// outputs are zeroed: none is a value, and callers attach them per run.
+func (c Config) Canonical() string {
+	c.Scheme = nil
+	c.Sink = nil
+	c.Telemetry = Telemetry{}
+	return strings.Replace(fmt.Sprintf("%+v", c), "Sink:<nil>", legacyObservers, 1)
 }
 
 // Result summarizes one run.
@@ -337,6 +327,7 @@ func newSimulator(p *program.Program, src exec.Source, cfg Config) (*simulator, 
 	sim.warmed = cfg.Warmup <= 0
 	if sim.warmed {
 		sim.telBegin()
+		sim.armSink()
 	}
 	return sim, nil
 }
@@ -352,12 +343,8 @@ func (sim *simulator) finish() (*Result, error) {
 	sim.res.Cycles = sim.retireC
 	// Final partial epoch, so the series always covers the full run.
 	if sim.tel != nil && sim.tel.epochLen > 0 {
-		hooks := cfg.Hooks
-		if !sim.warmed {
-			hooks = Hooks{}
-		}
 		if mi := sim.res.Original - cfg.Warmup; mi > sim.tel.lastTick {
-			sim.telTick(&hooks, mi)
+			sim.telTick(mi)
 		}
 	}
 	sim.telEnd()
@@ -459,16 +446,21 @@ type simulator struct {
 
 	lastLine uint64
 
-	// tel is the run's telemetry state (nil when disabled); trace is
-	// the armed tracer — nil until the warmup boundary, so warmup is
-	// never traced.
-	tel   *telemetryState
-	trace *telemetry.Tracer
+	// tel is the run's telemetry state (nil when disabled). sink is the
+	// armed event channel: Config.Sink, then the event trace. layout is
+	// Config.Sink alone, for the BlockEnter and Taken events the trace
+	// does not record, so a traced run skips the per-instruction
+	// block-entry test. Both are nil until the warmup boundary, so
+	// warmup is never observed.
+	tel    *telemetryState
+	sink   telemetry.Sink
+	layout telemetry.Sink
 
 	res Result
 
 	// warmed is false until the run crosses cfg.Warmup original
-	// instructions; hooks and telemetry observe only the warmed window.
+	// instructions; the sink and telemetry observe only the warmed
+	// window.
 	warmed bool
 
 	// Warmup-boundary snapshots, subtracted from the final statistics.
@@ -502,10 +494,6 @@ func (s *simulator) runTo(total int64) error {
 	p := s.p
 	slot := 1 / cfg.Width
 
-	hooks := cfg.Hooks
-	if !s.warmed {
-		hooks = Hooks{} // hooks observe only the measured window
-	}
 	var clocks clockSnap
 	for s.res.Original < total {
 		if invariantsEnabled {
@@ -513,22 +501,11 @@ func (s *simulator) runTo(total int64) error {
 		}
 		if !s.warmed && s.res.Original >= cfg.Warmup {
 			s.warmBoundary()
-			hooks = cfg.Hooks
 		}
 		if s.batchPos == s.batchLen {
-			// Refill the slab. Ask for exactly the instructions still
-			// owed: original instructions increment res.Original one per
-			// step at most, so a slab of (total - Original) steps can
-			// never outlive the loop — every step pulled is consumed.
-			want := total - s.res.Original
-			if want > int64(len(s.batch)) {
-				want = int64(len(s.batch))
+			if err := s.refill(total); err != nil {
+				return err
 			}
-			n := exec.Fill(s.src, s.batch[:want])
-			if n <= 0 {
-				return fmt.Errorf("pipeline: step source ended after %d of %d instructions", s.res.Original, total)
-			}
-			s.batchPos, s.batchLen = 0, n
 		}
 		st := &s.batch[s.batchPos]
 		s.batchPos++
@@ -541,9 +518,9 @@ func (s *simulator) runTo(total int64) error {
 			s.res.Original++
 		}
 
-		if hooks.OnBlockEnter != nil {
+		if s.layout != nil {
 			if blk := p.BlockOf[st.Idx]; p.Blocks[blk].First == st.Idx {
-				hooks.OnBlockEnter(p.Blocks[blk].ID)
+				s.layout.BlockEnter(p.Blocks[blk].ID)
 			}
 		}
 
@@ -582,21 +559,15 @@ func (s *simulator) runTo(total int64) error {
 			res := s.scheme.Lookup(in.PC, kind, s.bpuC, st.Taken)
 			if res.FromPrefetch {
 				s.res.CoveredMisses++
-				if hooks.OnPrefetch != nil {
-					hooks.OnPrefetch(PrefetchUsed, in.PC, s.bpuC)
-				}
 				if res.LateBy > 0 {
 					s.res.LateCoveredMisses++
 					lookupLate = res.LateBy
-					if hooks.OnPrefetch != nil {
-						hooks.OnPrefetch(PrefetchLate, in.PC, s.bpuC)
-					}
 					if s.tel != nil && s.warmed {
 						s.tel.pfLate.Observe(res.LateBy)
 					}
 				}
-				if s.trace != nil {
-					s.trace.PrefetchUse(s.res.Original-cfg.Warmup, s.bpuC, in.PC, res.LateBy)
+				if s.sink != nil {
+					s.sink.PrefetchUse(s.res.Original-cfg.Warmup, s.bpuC, in.PC, res.LateBy)
 				}
 			}
 			// Only direct-branch misses resteer from decode: returns
@@ -698,14 +669,11 @@ func (s *simulator) runTo(total int64) error {
 				} else {
 					exposed = 0
 				}
-				if hooks.OnICacheMiss != nil {
-					hooks.OnICacheMiss(line, lead, fstart)
-				}
 				if s.tel != nil && s.warmed {
 					s.tel.missLead.Observe(lead)
 				}
-				if s.trace != nil {
-					s.trace.ICacheMiss(s.res.Original-cfg.Warmup, fstart, line, lead, exposed)
+				if s.sink != nil {
+					s.sink.ICacheMiss(s.res.Original-cfg.Warmup, fstart, line, lead, exposed)
 				}
 			}
 			s.pendIssue = -1
@@ -750,88 +718,26 @@ func (s *simulator) runTo(total int64) error {
 		}
 
 		// ---- Resolution, training, and resteers --------------------------
-		var execMispredict bool
-		var execCause ResteerCause
 		if isBranch {
-			var target uint64
-			switch kind {
-			case isa.KindCondBranch:
-				target = p.TargetPC(st.Idx)
-				var wrong bool
-				if s.tage != nil {
-					wrong = !s.tage.PredictAndUpdate(in.PC, st.Taken)
-				} else {
-					wrong = s.dir.Mispredicted(in.PC)
-				}
-				if wrong {
-					execMispredict = true
-					execCause = ResteerCond
-					s.res.CondMispredicts++
-				}
-			case isa.KindJump, isa.KindCall:
-				target = p.TargetPC(st.Idx)
-			default:
-				// Indirect and return targets come from the executed path.
-				target = p.Instrs[st.NextIdx].PC
-			}
-			if kind.IsCallKind() {
-				s.ras.Push(in.NextPC())
-			}
-			switch kind {
-			case isa.KindReturn:
-				if !s.ras.PredictReturn(target) {
-					execMispredict = true
-					execCause = ResteerRAS
-					s.res.RASMispredicts++
-				}
-			case isa.KindIndirectJump, isa.KindIndirectCall:
-				if !s.ibtb.Predict(in.PC, target) {
-					execMispredict = true
-					execCause = ResteerIBTB
-					s.res.IBTBMispredicts++
-				}
-			}
-
-			s.reso = prefetcher.Resolution{
-				PC: in.PC, Target: target, Kind: kind, Taken: st.Taken, Cycle: s.fetchC,
-			}
-			s.scheme.Resolve(&s.reso)
-
+			execCause := s.resolve(st, in)
 			if btbMissTaken {
 				s.res.BTBResteers++
-				if kind.IsDirect() && hooks.OnBTBMiss != nil {
-					hooks.OnBTBMiss(st.Idx, s.fetchC)
-				}
-				if hooks.OnResteer != nil {
-					hooks.OnResteer(ResteerBTBMiss, st.Idx, s.fetchC)
-				}
-				if s.trace != nil {
+				if s.sink != nil {
 					mi := s.res.Original - cfg.Warmup
-					s.trace.BTBMiss(mi, s.fetchC, in.PC, kind.String())
-					s.trace.Resteer(mi, s.fetchC, telemetry.CauseBTBMiss, in.PC)
+					s.sink.BTBMiss(mi, s.fetchC, st.Idx, in.PC, kind.String())
+					s.sink.Resteer(mi, s.fetchC, telemetry.CauseBTBMiss, in.PC)
 				}
-				if t := s.fetchC + cfg.DecodeResteer; t > s.bpuC {
-					s.bpuC = t
-				}
-				s.flushFTQ()
-				s.pendIssue = s.fetchC
+				s.redirect(cfg.DecodeResteer)
 			}
-			if execMispredict {
-				if hooks.OnResteer != nil {
-					hooks.OnResteer(execCause, st.Idx, s.fetchC)
+			if execCause != "" {
+				if s.sink != nil {
+					s.sink.Resteer(s.res.Original-cfg.Warmup, s.fetchC, execCause, in.PC)
 				}
-				if s.trace != nil {
-					s.trace.Resteer(s.res.Original-cfg.Warmup, s.fetchC, execCause.String(), in.PC)
-				}
-				if t := s.fetchC + cfg.ExecResteer; t > s.bpuC {
-					s.bpuC = t
-				}
-				s.flushFTQ()
-				s.pendIssue = s.fetchC
+				s.redirect(cfg.ExecResteer)
 			}
 
-			if st.Taken && hooks.OnTaken != nil {
-				hooks.OnTaken(st.Idx, st.NextIdx, s.fetchC)
+			if st.Taken && s.layout != nil {
+				s.layout.Taken(st.Idx, st.NextIdx, s.fetchC)
 			}
 		}
 
@@ -845,27 +751,11 @@ func (s *simulator) runTo(total int64) error {
 		// ahead. (The paper states the requirement as "retire before
 		// the lookup"; this is the equivalent point in our two-clock
 		// approximation.)
-		if kind == isa.KindBrPrefetch {
-			br := p.InstrByID(in.Target)
-			ready := bpuTime + cfg.BrPrefetchLatency
-			out := s.scheme.InsertPrefetch(br.PC, p.PCOf(br.Target), br.Kind, ready)
-			s.observeInsert(&hooks, out, br.PC, ready)
-		} else if kind == isa.KindBrCoalesce {
-			mask := p.CoalesceMasks[in.Aux]
-			ready := bpuTime + cfg.CoalesceLoadLatency
-			for b := 0; b < 64; b++ {
-				if mask&(1<<uint(b)) == 0 {
-					continue
-				}
-				slotIdx := int(in.Target) + b
-				if slotIdx >= len(p.CoalesceTable) {
-					break
-				}
-				pair := p.CoalesceTable[slotIdx]
-				br := p.InstrByID(pair.Branch)
-				out := s.scheme.InsertPrefetch(br.PC, p.PCOf(pair.Target), br.Kind, ready)
-				s.observeInsert(&hooks, out, br.PC, ready)
-			}
+		switch kind {
+		case isa.KindBrPrefetch:
+			s.stagePrefetches(in, bpuTime+cfg.BrPrefetchLatency, true)
+		case isa.KindBrCoalesce:
+			s.stagePrefetches(in, bpuTime+cfg.CoalesceLoadLatency, true)
 		}
 
 		// ---- Retire ------------------------------------------------------
@@ -886,7 +776,7 @@ func (s *simulator) runTo(total int64) error {
 		// ---- Epoch boundary ----------------------------------------------
 		if s.tel != nil && s.warmed && s.tel.epochLen > 0 {
 			if mi := s.res.Original - cfg.Warmup; mi >= s.tel.nextTick {
-				s.telTick(&hooks, mi)
+				s.telTick(mi)
 				s.tel.nextTick += s.tel.epochLen
 			}
 		}
@@ -910,8 +800,115 @@ func (s *simulator) warmBoundary() {
 	s.warmL1Acc, s.warmL1Miss = s.hier.L1.Accesses, s.hier.L1.Misses
 	s.warmCycles = s.retireC
 	s.telBegin()
+	s.armSink()
 }
 
-func (s *simulator) flushFTQ() {
+// resolve resolves a branch at execute: it computes the target, trains
+// the direction, return-address and indirect-target predictors (their
+// state carries across detailed, fast-forwarded and resumed windows
+// alike), counts a mispredict, and lets the scheme train on the
+// outcome. It returns the mispredict's resteer cause, or "" when the
+// branch was predicted correctly.
+func (s *simulator) resolve(st *exec.Step, in *program.Instr) (cause string) {
+	p := s.p
+	var target uint64
+	switch in.Kind {
+	case isa.KindCondBranch:
+		target = p.TargetPC(st.Idx)
+		var wrong bool
+		if s.tage != nil {
+			wrong = !s.tage.PredictAndUpdate(in.PC, st.Taken)
+		} else {
+			wrong = s.dir.Mispredicted(in.PC)
+		}
+		if wrong {
+			cause = telemetry.CauseCond
+			s.res.CondMispredicts++
+		}
+	case isa.KindJump, isa.KindCall:
+		target = p.TargetPC(st.Idx)
+	default:
+		// Indirect and return targets come from the executed path.
+		target = p.Instrs[st.NextIdx].PC
+	}
+	if in.Kind.IsCallKind() {
+		s.ras.Push(in.NextPC())
+	}
+	switch in.Kind {
+	case isa.KindReturn:
+		if !s.ras.PredictReturn(target) {
+			cause = telemetry.CauseRAS
+			s.res.RASMispredicts++
+		}
+	case isa.KindIndirectJump, isa.KindIndirectCall:
+		if !s.ibtb.Predict(in.PC, target) {
+			cause = telemetry.CauseIBTB
+			s.res.IBTBMispredicts++
+		}
+	}
+	s.reso = prefetcher.Resolution{
+		PC: in.PC, Target: target, Kind: in.Kind, Taken: st.Taken, Cycle: s.fetchC,
+	}
+	s.scheme.Resolve(&s.reso)
+	return cause
+}
+
+// refill refills the step slab with exactly the original instructions
+// still owed toward total: each step adds at most one to res.Original,
+// so a slab of (total - Original) steps never outlives the run loop —
+// every step pulled is consumed.
+func (s *simulator) refill(total int64) error {
+	n := exec.Fill(s.src, s.batch[:min(total-s.res.Original, int64(len(s.batch)))])
+	if n <= 0 {
+		return fmt.Errorf("pipeline: step source ended after %d of %d instructions", s.res.Original, total)
+	}
+	s.batchPos, s.batchLen = 0, n
+	return nil
+}
+
+// stagePrefetches inserts the prefetch-buffer entries named by the
+// injected brprefetch or brcoalesce instruction in, ready at cycle
+// ready. When observe is set, each staged or dropped entry is reported
+// to the sink, which is nil (and this inert) during warmup.
+func (s *simulator) stagePrefetches(in *program.Instr, ready float64, observe bool) {
+	p := s.p
+	stage := func(br *program.Instr, target int32) {
+		out := s.scheme.InsertPrefetch(br.PC, p.PCOf(target), br.Kind, ready)
+		if !observe || s.sink == nil || out == prefetcher.InsertIgnored {
+			return
+		}
+		if mi := s.res.Original - s.cfg.Warmup; out == prefetcher.InsertStaged {
+			s.sink.PrefetchIssue(mi, s.bpuC, br.PC, ready)
+		} else {
+			s.sink.PrefetchDrop(mi, s.bpuC, br.PC)
+		}
+	}
+	if in.Kind == isa.KindBrPrefetch {
+		br := p.InstrByID(in.Target)
+		stage(br, br.Target)
+		return
+	}
+	mask := p.CoalesceMasks[in.Aux]
+	for b := 0; b < 64; b++ {
+		if mask&(1<<uint(b)) == 0 {
+			continue
+		}
+		slotIdx := int(in.Target) + b
+		if slotIdx >= len(p.CoalesceTable) {
+			break
+		}
+		pair := p.CoalesceTable[slotIdx]
+		stage(p.InstrByID(pair.Branch), pair.Target)
+	}
+}
+
+// redirect resteers the BPU penalty cycles after the branch's fetch:
+// the FTQ drains, and the target line's fill issues at the discovery
+// point.
+func (s *simulator) redirect(penalty float64) {
+	if t := s.fetchC + penalty; t > s.bpuC {
+		s.bpuC = t
+	}
 	s.ftqHead, s.ftqLen = 0, 0
+	s.pendIssue = s.fetchC
 }

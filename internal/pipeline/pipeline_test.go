@@ -264,21 +264,17 @@ func TestHooksFire(t *testing.T) {
 	p := simpleProgram(t)
 	cfg := testConfig(20_000)
 	cfg.Scheme = prefetcher.NewBaseline(btb.Config{Entries: 16, Ways: 2}, 0, false)
-	var takens, misses, blocks int
-	cfg.Hooks = Hooks{
-		OnTaken:      func(fromIdx, toIdx int32, cycle float64) { takens++ },
-		OnBTBMiss:    func(branchIdx int32, cycle float64) { misses++ },
-		OnBlockEnter: func(blockID int32) { blocks++ },
-	}
+	c := &countingSink{t: t, resteers: map[string]int64{}}
+	cfg.Sink = c
 	res, err := Run(p, exec.Input{Seed: 8}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if takens == 0 || misses == 0 || blocks == 0 {
-		t.Fatalf("hooks: takens=%d misses=%d blocks=%d", takens, misses, blocks)
+	if c.takens == 0 || c.btbMiss == 0 || c.blocks == 0 {
+		t.Fatalf("sink: takens=%d misses=%d blocks=%d", c.takens, c.btbMiss, c.blocks)
 	}
-	if int64(misses) != res.BTB.DirectMisses() {
-		t.Fatalf("OnBTBMiss fired %d times, direct misses %d", misses, res.BTB.DirectMisses())
+	if c.btbMiss != res.BTB.DirectMisses() {
+		t.Fatalf("BTBMiss fired %d times, direct misses %d", c.btbMiss, res.BTB.DirectMisses())
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"twig/internal/checkpoint"
 	"twig/internal/exec"
 	"twig/internal/isa"
-	"twig/internal/prefetcher"
 	"twig/internal/program"
 )
 
@@ -101,8 +100,8 @@ func (m *Sim) Counters() Counters {
 // cycles, FTQ/ROB occupancy, resteer penalties) is modeled. This is
 // the functional warmup between sampled intervals: orders of magnitude
 // cheaper per instruction, leaving the machine warm for the next
-// detailed interval. Hooks and telemetry never observe fast-forwarded
-// instructions; FastForward refuses to run with telemetry enabled
+// detailed interval. The sink and telemetry never observe
+// fast-forwarded instructions; FastForward refuses to run with telemetry enabled
 // because the epoch series cannot span unmeasured gaps.
 func (m *Sim) FastForward(total int64) error {
 	if m.s.cfg.Telemetry.enabled() {
@@ -119,15 +118,9 @@ func (s *simulator) fastForward(total int64) error {
 			s.warmBoundary()
 		}
 		if s.batchPos == s.batchLen {
-			want := total - s.res.Original
-			if want > int64(len(s.batch)) {
-				want = int64(len(s.batch))
+			if err := s.refill(total); err != nil {
+				return err
 			}
-			n := exec.Fill(s.src, s.batch[:want])
-			if n <= 0 {
-				return fmt.Errorf("pipeline: step source ended after %d of %d instructions", s.res.Original, total)
-			}
-			s.batchPos, s.batchLen = 0, n
 		}
 		st := &s.batch[s.batchPos]
 		s.batchPos++
@@ -187,44 +180,8 @@ func (s *simulator) fastForward(total int64) error {
 		}
 
 		if isBranch {
-			var target uint64
-			switch kind {
-			case isa.KindCondBranch:
-				target = p.TargetPC(st.Idx)
-				// The predictors must advance here exactly as in detailed
-				// mode: their cursors (the direction predictor's ordinal,
-				// TAGE's history) feed the next detailed interval.
-				var wrong bool
-				if s.tage != nil {
-					wrong = !s.tage.PredictAndUpdate(in.PC, st.Taken)
-				} else {
-					wrong = s.dir.Mispredicted(in.PC)
-				}
-				if wrong {
-					s.res.CondMispredicts++
-				}
-			case isa.KindJump, isa.KindCall:
-				target = p.TargetPC(st.Idx)
-			default:
-				target = p.Instrs[st.NextIdx].PC
-			}
-			if kind.IsCallKind() {
-				s.ras.Push(in.NextPC())
-			}
-			switch kind {
-			case isa.KindReturn:
-				if !s.ras.PredictReturn(target) {
-					s.res.RASMispredicts++
-				}
-			case isa.KindIndirectJump, isa.KindIndirectCall:
-				if !s.ibtb.Predict(in.PC, target) {
-					s.res.IBTBMispredicts++
-				}
-			}
-			s.reso = prefetcher.Resolution{
-				PC: in.PC, Target: target, Kind: kind, Taken: st.Taken, Cycle: s.fetchC,
-			}
-			s.scheme.Resolve(&s.reso)
+			s.resolve(st, in) // predictor cursors feed the next detailed interval
+
 			if btbMissTaken {
 				s.res.BTBResteers++
 			}
@@ -233,41 +190,22 @@ func (s *simulator) fastForward(total int64) error {
 		// Injected Twig instructions keep inserting into the prefetch
 		// buffer (at the frozen clock, so entries are immediately ready —
 		// prefetch timeliness is a detailed-interval concern).
-		if kind == isa.KindBrPrefetch {
-			br := p.InstrByID(in.Target)
-			s.scheme.InsertPrefetch(br.PC, p.PCOf(br.Target), br.Kind, s.bpuC)
-		} else if kind == isa.KindBrCoalesce {
-			mask := p.CoalesceMasks[in.Aux]
-			for b := 0; b < 64; b++ {
-				if mask&(1<<uint(b)) == 0 {
-					continue
-				}
-				slotIdx := int(in.Target) + b
-				if slotIdx >= len(p.CoalesceTable) {
-					break
-				}
-				pair := p.CoalesceTable[slotIdx]
-				br := p.InstrByID(pair.Branch)
-				s.scheme.InsertPrefetch(br.PC, p.PCOf(pair.Target), br.Kind, s.bpuC)
-			}
+		if kind == isa.KindBrPrefetch || kind == isa.KindBrCoalesce {
+			s.stagePrefetches(in, s.bpuC, false)
 		}
 	}
 	return nil
 }
 
 // fingerprint digests everything a checkpoint cannot carry but resume
-// correctness depends on: the structural configuration (pointers,
-// hooks and telemetry excluded — they are reattached by the caller)
-// and the program's shape. A checkpoint restored under a different
-// fingerprint is rejected before any section is decoded.
+// correctness depends on: the structural configuration (its Canonical
+// rendering; the scheme, sink and telemetry are reattached by the
+// caller) and the program's shape. A checkpoint restored under a
+// different fingerprint is rejected before any section is decoded.
 func (s *simulator) fingerprint() uint64 {
-	cfg := s.cfg
-	cfg.Scheme = nil
-	cfg.Hooks = Hooks{}
-	cfg.Telemetry = Telemetry{}
 	h := sha256.New()
-	fmt.Fprintf(h, "cfg{%+v}\x00scheme=%s\x00instrs=%d\x00original=%d\x00blocks=%d",
-		cfg, s.scheme.Name(), len(s.p.Instrs), s.p.OriginalInstrs, len(s.p.Blocks))
+	fmt.Fprintf(h, "cfg{%s}\x00scheme=%s\x00instrs=%d\x00original=%d\x00blocks=%d",
+		s.cfg.Canonical(), s.scheme.Name(), len(s.p.Instrs), s.p.OriginalInstrs, len(s.p.Blocks))
 	return binary.LittleEndian.Uint64(h.Sum(nil))
 }
 
@@ -412,10 +350,10 @@ func restoreResult(r *checkpoint.Reader, res *Result) {
 // ResumeSim reconstructs a simulation from a checkpoint taken with the
 // same program, source kind and configuration. src must be a fresh
 // source of the same stream (its cursor is restored from the
-// checkpoint). Hooks may be attached via cfg: they fire for
+// checkpoint). A sink may be attached via cfg: it observes the
 // instructions simulated after the resume point, which — because the
 // simulated event sequence is bit-identical — is exactly the
-// continuous run's hook stream from that point on.
+// continuous run's event stream from that point on.
 func ResumeSim(p *program.Program, src exec.Source, cfg Config, data []byte) (*Sim, error) {
 	if cfg.Telemetry.enabled() {
 		return nil, fmt.Errorf("pipeline: resume with telemetry enabled")
@@ -517,6 +455,9 @@ func ResumeSim(p *program.Program, src exec.Source, cfg Config, data []byte) (*S
 	s.ftqHead, s.ftqLen = ftqHead, ftqLen
 	s.robHead, s.robLen = robHead, robLen
 	s.warmed = warmed
+	if warmed {
+		s.armSink()
+	}
 	s.inflight.Clear()
 	for i := 0; i < nf; i++ {
 		line := r.U64()

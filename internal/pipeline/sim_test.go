@@ -264,3 +264,28 @@ func TestFastForwardAdvancesState(t *testing.T) {
 		t.Fatalf("position %d after detailed interval, want 60000", d.Instructions)
 	}
 }
+
+// TestCheckpointFingerprintGolden pins the configuration fingerprint
+// every checkpoint carries. Cached checkpoints are addressed by
+// runner.HashCheckpoint, whose key does not include this fingerprint,
+// so a change that moved it silently (say, by reshaping Config) would
+// leave warm-store keys valid while ResumeSim rejected every checkpoint
+// behind them. The constant was generated before the observer channels
+// were merged into one sink.
+func TestCheckpointFingerprintGolden(t *testing.T) {
+	p := simpleProgram(t)
+	src, err := exec.New(p, exec.Input{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = prefetcher.NewBaseline(btb.DefaultConfig(), 0, false)
+	sim, err := NewSim(p, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x99bb2df52a728077
+	if got := sim.s.fingerprint(); got != want {
+		t.Fatalf("fingerprint %#x, want %#x", got, uint64(want))
+	}
+}

@@ -42,14 +42,14 @@ func TestWarmupHooksSilent(t *testing.T) {
 	cfg := testConfig(10_000)
 	cfg.Warmup = 10_000
 	cfg.Scheme = prefetcher.NewBaseline(btb.Config{Entries: 4, Ways: 2}, 0, false)
-	var blocks int64
-	cfg.Hooks = Hooks{OnBlockEnter: func(int32) { blocks++ }}
+	c := &countingSink{t: t, resteers: map[string]int64{}}
+	cfg.Sink = c
 	if _, err := Run(p, exec.Input{Seed: 22}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Hooks fire only during the measured 10K window: strictly fewer
+	// The sink observes only the measured 10K window: strictly fewer
 	// block entries than instructions simulated overall.
-	if blocks <= 0 || blocks > 10_000 {
-		t.Fatalf("hooks fired %d times for a 10K measured window", blocks)
+	if c.blocks <= 0 || c.blocks > 10_000 {
+		t.Fatalf("sink saw %d block entries for a 10K measured window", c.blocks)
 	}
 }

@@ -61,7 +61,7 @@ type Resolution struct {
 }
 
 // InsertOutcome classifies what a scheme did with a software prefetch,
-// so observers (the event tracer, pipeline hooks) can distinguish real
+// so observers of the pipeline's event sink can distinguish real
 // issues from redundant drops without re-probing scheme internals.
 type InsertOutcome uint8
 

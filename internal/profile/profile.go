@@ -5,7 +5,7 @@
 // from those, Twig reconstructs the basic blocks executed before the
 // miss and their cycle distances.
 //
-// The Collector plugs into the pipeline's hooks: it maintains a
+// The Collector is a telemetry.Sink on the pipeline: it maintains a
 // 32-entry ring of (source block, destination block, cycle) records
 // updated on every taken branch, counts basic-block executions, and, on
 // each sampled BTB miss, snapshots the ring into a Sample.
@@ -19,6 +19,7 @@ import (
 	"twig/internal/exec"
 	"twig/internal/pipeline"
 	"twig/internal/program"
+	"twig/internal/telemetry"
 )
 
 // LBRDepth is the hardware Last Branch Record depth (Intel: 32).
@@ -59,8 +60,12 @@ type Profile struct {
 	Instructions int64
 }
 
-// Collector gathers a Profile from a simulation run.
+// Collector gathers a Profile from a simulation run. It is the run's
+// telemetry.Sink and observes block entries, taken branches and BTB
+// misses.
 type Collector struct {
+	telemetry.NopSink
+
 	p    *program.Program
 	rate int // sample every rate-th miss (1 = every miss)
 
@@ -90,20 +95,15 @@ func NewCollector(p *program.Program, sampleRate int) *Collector {
 	}
 }
 
-// Hooks returns the pipeline hooks that feed this collector.
-func (c *Collector) Hooks() pipeline.Hooks {
-	return pipeline.Hooks{
-		OnTaken:      c.onTaken,
-		OnBTBMiss:    c.onMiss,
-		OnBlockEnter: c.onBlockEnter,
-	}
-}
-
-func (c *Collector) onBlockEnter(blockID int32) {
+// BlockEnter implements telemetry.Sink: it counts the block's
+// execution.
+func (c *Collector) BlockEnter(blockID int32) {
 	c.prof.BlockExecs[blockID]++
 }
 
-func (c *Collector) onTaken(fromIdx, toIdx int32, cycle float64) {
+// Taken implements telemetry.Sink: it pushes the branch onto the LBR
+// ring.
+func (c *Collector) Taken(fromIdx, toIdx int32, cycle float64) {
 	p := c.p
 	c.ring[c.ringPos] = Record{
 		FromBlock: p.Blocks[p.BlockOf[fromIdx]].ID,
@@ -116,7 +116,9 @@ func (c *Collector) onTaken(fromIdx, toIdx int32, cycle float64) {
 	}
 }
 
-func (c *Collector) onMiss(branchIdx int32, cycle float64) {
+// BTBMiss implements telemetry.Sink: it counts the miss and, every
+// sample-rate-th miss, snapshots the LBR ring into a Sample.
+func (c *Collector) BTBMiss(_ int64, cycle float64, branchIdx int32, _ uint64, _ string) {
 	branchID := c.p.Instrs[branchIdx].ID
 	c.prof.MissCounts[branchID]++
 	c.missSeen++
@@ -142,11 +144,11 @@ func (c *Collector) Finish(instructions int64) *Profile {
 }
 
 // Collect is the one-call convenience used throughout the experiments:
-// run the pipeline with profiling hooks attached and return the profile
-// alongside the run result.
+// run the pipeline with the collector as its sink and return the
+// profile alongside the run result.
 func Collect(p *program.Program, in exec.Input, cfg pipeline.Config, sampleRate int) (*Profile, *pipeline.Result, error) {
 	c := NewCollector(p, sampleRate)
-	cfg.Hooks = c.Hooks()
+	cfg.Sink = c
 	res, err := pipeline.Run(p, in, cfg)
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"twig/internal/core"
-	"twig/internal/pipeline"
 	"twig/internal/sampling"
 	"twig/internal/workload"
 )
@@ -26,16 +25,12 @@ import (
 // CanonicalOptions renders the value fields of an evaluation operating
 // point deterministically. Non-value fields that cannot influence a
 // simulation's Result bytes — the scheme instance (job keys name the
-// scheme), hooks, and telemetry sinks — are excluded; the epoch length
-// is included because it shapes Result.Series.
+// scheme), the event sink, and telemetry outputs — are excluded (see
+// pipeline.Config.Canonical); the epoch length is included because it
+// shapes Result.Series.
 func CanonicalOptions(o core.Options) string {
-	p := o.Pipeline
-	p.Scheme = nil
-	p.Hooks = pipeline.Hooks{}
-	epoch := p.Telemetry.EpochLength
-	p.Telemetry = pipeline.Telemetry{}
-	s := fmt.Sprintf("pipeline{%+v}|epoch=%d|btb{%+v}|opt{%+v}|pbuf=%d|sample=%d|profins=%d",
-		p, epoch, o.BTB, o.Opt, o.PrefetchBuffer, o.SampleRate, o.ProfileInstructions)
+	s := fmt.Sprintf("pipeline{%s}|epoch=%d|btb{%+v}|opt{%+v}|pbuf=%d|sample=%d|profins=%d",
+		o.Pipeline.Canonical(), o.Pipeline.Telemetry.EpochLength, o.BTB, o.Opt, o.PrefetchBuffer, o.SampleRate, o.ProfileInstructions)
 	// The interval-sampling spec is appended only when set: exact runs
 	// ignore it entirely, and the unconditional rendering would shift
 	// every existing content hash, invalidating warm caches wholesale.

@@ -110,7 +110,7 @@ type Estimate struct {
 // returns the statistical estimate. cfg is interpreted as for
 // pipeline.Run: cfg.Warmup instructions of warmup (fast-forwarded
 // here) followed by cfg.MaxInstructions of measured window (sampled
-// here). Hooks and telemetry are ignored — sampled runs estimate
+// here). The sink and telemetry are ignored — sampled runs estimate
 // aggregates, they do not observe event streams.
 func Run(p *program.Program, in exec.Input, cfg pipeline.Config, spec Spec) (*Estimate, error) {
 	if err := spec.validate(); err != nil {
@@ -129,7 +129,7 @@ func Run(p *program.Program, in exec.Input, cfg pipeline.Config, spec Spec) (*Es
 	}
 
 	scfg := cfg
-	scfg.Hooks = pipeline.Hooks{}
+	scfg.Sink = nil
 	scfg.Telemetry = pipeline.Telemetry{}
 	scfg.Warmup = 0 // interval deltas replace warm-subtraction
 

@@ -19,28 +19,21 @@
 // ≈12% on average) on the table.
 package streams
 
-import "twig/internal/pipeline"
+import "twig/internal/telemetry"
 
-// Recorder collects the BTB-miss address sequence from a run via the
-// pipeline's OnBTBMiss hook.
+// Recorder collects the BTB-miss address sequence of a run. Attach it
+// as the run's pipeline.Config.Sink.
 type Recorder struct {
-	pcOf   func(idx int32) uint64
+	telemetry.NopSink
 	misses []uint64
 }
 
-// NewRecorder builds a recorder; pcOf maps a layout index to the branch
-// PC (pass program.Program's instruction table lookup).
-func NewRecorder(pcOf func(idx int32) uint64) *Recorder {
-	return &Recorder{pcOf: pcOf}
-}
+// NewRecorder builds an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Hooks returns pipeline hooks that feed the recorder.
-func (r *Recorder) Hooks() pipeline.Hooks {
-	return pipeline.Hooks{OnBTBMiss: r.onMiss}
-}
-
-func (r *Recorder) onMiss(branchIdx int32, cycle float64) {
-	r.misses = append(r.misses, r.pcOf(branchIdx))
+// BTBMiss implements telemetry.Sink: it appends the missed branch's PC.
+func (r *Recorder) BTBMiss(_ int64, _ float64, _ int32, pc uint64, _ string) {
+	r.misses = append(r.misses, pc)
 }
 
 // Misses returns the recorded miss addresses in order.

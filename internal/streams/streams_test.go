@@ -62,11 +62,10 @@ func TestFractionsSumToOne(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	rec := NewRecorder(func(idx int32) uint64 { return uint64(idx) * 10 })
-	h := rec.Hooks()
-	h.OnBTBMiss(1, 0)
-	h.OnBTBMiss(2, 1)
-	h.OnBTBMiss(1, 2)
+	rec := NewRecorder()
+	rec.BTBMiss(0, 0, 1, 10, "jump")
+	rec.BTBMiss(1, 1, 2, 20, "cond")
+	rec.BTBMiss(2, 2, 1, 10, "jump")
 	got := rec.Misses()
 	want := []uint64{10, 20, 10}
 	if len(got) != len(want) {

@@ -56,6 +56,18 @@ func (s *LiveServer) Update(reg *Registry, series *Series) {
 	s.mu.Unlock()
 }
 
+// EpochPublisher is a Sink that publishes a fresh snapshot of Registry
+// to Live at every epoch boundary. It runs on the simulation
+// goroutine, so its gauge reads are race-free.
+type EpochPublisher struct {
+	NopSink
+	Live     *LiveServer
+	Registry *Registry
+}
+
+// EpochMark implements Sink.
+func (p EpochPublisher) EpochMark(int64, int64, float64) { p.Live.Update(p.Registry, nil) }
+
 // Updates returns how many snapshots have been published.
 func (s *LiveServer) Updates() int64 {
 	s.mu.RLock()

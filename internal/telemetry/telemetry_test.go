@@ -153,7 +153,7 @@ func TestSamplerSeries(t *testing.T) {
 func TestTracerFormatAndDeterminism(t *testing.T) {
 	emit := func(w io.Writer) {
 		tr := NewTracer(w)
-		tr.BTBMiss(1, 10.125, 0x400abc, "cond")
+		tr.BTBMiss(1, 10.125, 0, 0x400abc, "cond")
 		tr.Resteer(1, 10.125, CauseBTBMiss, 0x400abc)
 		tr.PrefetchIssue(2, 11, 0x400b00, 14)
 		tr.PrefetchDrop(3, 12, 0x400b08)
@@ -195,7 +195,7 @@ func TestTracerBlockFlush(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	for i := 0; i < 5000; i++ {
-		tr.BTBMiss(int64(i), float64(i), uint64(0x400000+i), "jump")
+		tr.BTBMiss(int64(i), float64(i), 0, uint64(0x400000+i), "jump")
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)

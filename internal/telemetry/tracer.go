@@ -13,9 +13,11 @@ const (
 	CauseIBTB    = "ibtb"
 )
 
-// Tracer streams typed simulation events as JSON Lines to an io.Writer.
-// One line per event, fields always in the same order, floats rendered
-// with two decimals — so identical runs produce byte-identical traces.
+// Tracer is the Sink that streams a run's events as JSON Lines to an
+// io.Writer. One line per event, fields always in the same order,
+// floats rendered with two decimals — so identical runs produce
+// byte-identical traces. The layout-level events (BlockEnter, Taken,
+// and BTBMiss's layout index) are not traced.
 //
 // Record schema (field-by-field; `i` is the committed measured
 // original-instruction count, `cyc` the retire-domain cycle, `pc` and
@@ -149,8 +151,9 @@ func (t *Tracer) Events() int64 { return t.events }
 func (t *Tracer) Err() error { return t.err }
 
 // slot hands out the next free event in the current batch, shipping the
-// batch to the formatter when full.
-func (t *Tracer) slot() *event {
+// batch to the formatter when full, and fills and counts the fields
+// every record has.
+func (t *Tracer) slot(kind uint8, instr int64, cycle float64, pc uint64) *event {
 	if !t.running {
 		t.start()
 	}
@@ -162,6 +165,8 @@ func (t *Tracer) slot() *event {
 	}
 	e := &t.cur[t.n]
 	t.n++
+	t.events++
+	e.kind, e.instr, e.cycle, e.pc = kind, instr, cycle, pc
 	return e
 }
 
@@ -414,60 +419,46 @@ func (t *Tracer) num(prefix string, v float64) {
 	t.line = appendFixed2(append(t.line, prefix...), v)
 }
 
+// BlockEnter implements Sink; block entries are not traced.
+func (t *Tracer) BlockEnter(int32) {}
+
+// Taken implements Sink; taken branches are not traced.
+func (t *Tracer) Taken(int32, int32, float64) {}
+
 // BTBMiss records a demand BTB miss of a taken direct branch.
-func (t *Tracer) BTBMiss(instr int64, cycle float64, pc uint64, kind string) {
-	e := t.slot()
-	e.kind = evBTBMiss
-	e.instr, e.cycle, e.pc, e.s = instr, cycle, pc, kind
-	t.events++
+func (t *Tracer) BTBMiss(instr int64, cycle float64, _ int32, pc uint64, kind string) {
+	t.slot(evBTBMiss, instr, cycle, pc).s = kind
 }
 
 // Resteer records a frontend redirect with its cause.
 func (t *Tracer) Resteer(instr int64, cycle float64, cause string, pc uint64) {
-	e := t.slot()
-	e.kind = evResteer
-	e.instr, e.cycle, e.pc, e.s = instr, cycle, pc, cause
-	t.events++
+	t.slot(evResteer, instr, cycle, pc).s = cause
 }
 
 // PrefetchIssue records a staged software prefetch.
 func (t *Tracer) PrefetchIssue(instr int64, cycle float64, pc uint64, ready float64) {
-	e := t.slot()
-	e.kind = evPfIssue
-	e.instr, e.cycle, e.pc, e.f1 = instr, cycle, pc, ready
-	t.events++
+	t.slot(evPfIssue, instr, cycle, pc).f1 = ready
 }
 
 // PrefetchDrop records a redundant software prefetch.
 func (t *Tracer) PrefetchDrop(instr int64, cycle float64, pc uint64) {
-	e := t.slot()
-	e.kind = evPfDrop
-	e.instr, e.cycle, e.pc = instr, cycle, pc
-	t.events++
+	t.slot(evPfDrop, instr, cycle, pc)
 }
 
 // PrefetchUse records a demand lookup served from the prefetch buffer;
 // late > 0 means the entry arrived that many cycles after the lookup.
 func (t *Tracer) PrefetchUse(instr int64, cycle float64, pc uint64, late float64) {
-	e := t.slot()
-	e.kind = evPfUse
-	e.instr, e.cycle, e.pc, e.f1 = instr, cycle, pc, late
-	t.events++
+	t.slot(evPfUse, instr, cycle, pc).f1 = late
 }
 
 // ICacheMiss records a demand L1i miss with the FDIP run-ahead lead and
 // the exposed (non-hidden) stall.
 func (t *Tracer) ICacheMiss(instr int64, cycle float64, line uint64, lead, exposed float64) {
-	e := t.slot()
-	e.kind = evICacheMiss
-	e.instr, e.cycle, e.pc, e.f1, e.f2 = instr, cycle, line, lead, exposed
-	t.events++
+	e := t.slot(evICacheMiss, instr, cycle, line)
+	e.f1, e.f2 = lead, exposed
 }
 
 // EpochMark records an epoch boundary (n is 1-based).
 func (t *Tracer) EpochMark(n, instr int64, cycle float64) {
-	e := t.slot()
-	e.kind = evEpoch
-	e.instr, e.cycle, e.pc = instr, cycle, uint64(n)
-	t.events++
+	t.slot(evEpoch, instr, cycle, uint64(n))
 }

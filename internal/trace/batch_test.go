@@ -54,6 +54,10 @@ func TestReaderBatchMatchesScalar(t *testing.T) {
 	if scalar.Steps() != batched.Steps() {
 		t.Fatalf("step counters diverge: scalar %d, batched %d", scalar.Steps(), batched.Steps())
 	}
+	// Both readers hit the end of the recording at the same step.
+	if scalar.Recorded() != n || batched.Recorded() != n {
+		t.Fatalf("recorded steps: scalar %d, batched %d, want %d", scalar.Recorded(), batched.Recorded(), n)
+	}
 }
 
 // TestReaderBatchTruncated cuts the recording mid-stream at several

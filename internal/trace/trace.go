@@ -151,6 +151,7 @@ type Reader struct {
 	run    uint64
 	target int32
 	err    error
+	errAt  int64 // step at which err was set
 	steps  int64
 }
 
@@ -188,30 +189,46 @@ func (t *Reader) Err() error { return t.err }
 // Steps returns how many steps have been replayed.
 func (t *Reader) Steps() int64 { return t.steps }
 
+// Recorded returns how many of the replayed steps came from the
+// recording: all of them while Err is nil, else those before the step
+// at which Err was hit. The rest are the sequential fallback.
+func (t *Reader) Recorded() int64 {
+	if t.err == nil {
+		return t.steps
+	}
+	return t.errAt
+}
+
+// decodePair reads the next (run, target) pair. A decode error is
+// recorded with the step it was hit at, and leaves run at zero, which
+// degrades the reader to sequential execution.
+func (t *Reader) decodePair(at int64) {
+	run, err := binary.ReadUvarint(t.r)
+	if err == nil {
+		var tgt uint64
+		tgt, err = binary.ReadUvarint(t.r)
+		switch {
+		case err != nil:
+		case tgt == sentinel:
+			t.run, t.target = run, -1
+			return
+		case tgt >= uint64(len(t.p.Instrs)):
+			err = fmt.Errorf("trace: target index %d out of range", tgt)
+		default:
+			t.run, t.target = run, int32(tgt)
+			return
+		}
+	}
+	t.err, t.errAt = err, at
+}
+
 // Next implements exec.Source. Past the end of the trace (or after a
 // decode error) it degrades to sequential execution so a simulator
 // driving it past the recorded length fails soft; bound the simulation
 // by the recorded length or check Err.
 func (t *Reader) Next(st *exec.Step) {
 	if t.run == 0 && t.err == nil {
-		run, err := binary.ReadUvarint(t.r)
-		if err != nil {
-			t.err = err
-		} else {
-			tgt, err := binary.ReadUvarint(t.r)
-			switch {
-			case err != nil:
-				t.err = err
-			case tgt == sentinel:
-				t.run = run
-				t.target = -1
-			case tgt >= uint64(len(t.p.Instrs)):
-				t.err = fmt.Errorf("trace: target index %d out of range", tgt)
-			default:
-				t.run = run
-				t.target = int32(tgt)
-			}
-		}
+		t.decodePair(t.steps)
 	}
 
 	st.Idx = t.cur
@@ -245,24 +262,7 @@ func (t *Reader) NextBatch(dst []exec.Step) int {
 	i := 0
 	for i < len(dst) {
 		if t.run == 0 && t.err == nil {
-			run, err := binary.ReadUvarint(t.r)
-			if err != nil {
-				t.err = err
-			} else {
-				tgt, err := binary.ReadUvarint(t.r)
-				switch {
-				case err != nil:
-					t.err = err
-				case tgt == sentinel:
-					t.run = run
-					t.target = -1
-				case tgt >= uint64(n):
-					t.err = fmt.Errorf("trace: target index %d out of range", tgt)
-				default:
-					t.run = run
-					t.target = int32(tgt)
-				}
-			}
+			t.decodePair(t.steps + int64(i))
 		}
 		if t.run == 0 {
 			// Degraded mode (decode error or EOF) or a corrupt

@@ -101,7 +101,7 @@ type Config struct {
 	// run completes; System.Close stops the listener.
 	LiveAddr string
 	// Check verifies every simulation run against the internal/check
-	// verification layer before returning its Result: hook-observed
+	// verification layer before returning its Result: sink-observed
 	// event counts must match the Result's counters, the telemetry
 	// registry must agree with the Result, and the epoch series must be
 	// additive. A violated law fails the run with an error. Binaries
@@ -296,16 +296,9 @@ func toResult(r *pipeline.Result) Result {
 		PrefetchUsed:      r.Prefetch.Used,
 		PrefetchAccuracy:  r.Prefetch.Accuracy(),
 		DynamicOverhead:   r.DynamicOverhead(),
-		ICacheMPKI:        float64(r.ICacheMisses) / float64(max64(r.Original, 1)) * 1000,
+		ICacheMPKI:        float64(r.ICacheMisses) / float64(max(r.Original, 1)) * 1000,
 		Epochs:            epochsFromSeries(r.Series),
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Speedup returns the percentage IPC improvement of opt over base.
@@ -380,12 +373,9 @@ func NewSystemTrained(app App, trainInput int, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("twig: starting live endpoint: %w", err)
 		}
 		sys.live, sys.liveAddr, sys.stopLive = live, addr, stop
-		// Publish a fresh snapshot at every epoch boundary. The hook
-		// runs on the simulation thread, so gauge reads are race-free;
-		// the series snapshot follows when the run completes.
-		sys.opts.Pipeline.Hooks.OnEpoch = func(int64, int64, float64) {
-			live.Update(sys.reg, nil)
-		}
+		// Publish a fresh snapshot at every epoch boundary; the series
+		// snapshot follows when the run completes.
+		sys.opts.Pipeline.Sink = telemetry.EpochPublisher{Live: live, Registry: sys.reg}
 	}
 	return sys, nil
 }
@@ -419,7 +409,7 @@ func (s *System) App() App { return s.art.Params.Name }
 // When run verification is on (Config.Check or the twigcheck build
 // tag), the run is verified against the verification layer before its
 // Result is converted. The options are copied per run so the attached
-// checker hooks never leak into later runs.
+// checker sink never leaks into later runs.
 func (s *System) Run(scheme string, input int) (Result, error) {
 	if _, err := core.LookupScheme(scheme); err != nil {
 		return Result{}, fmt.Errorf("twig: %w", err)
