@@ -19,10 +19,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "twig % of ideal", "nearest-site % of ideal", "twig acc %", "nearest acc %")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
@@ -35,7 +31,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				near, err := c.memoRun(fmt.Sprintf("nearest/%s", app), func() (*r, error) {
+				near, err := c.memoRun(fmt.Sprintf("nearest/%s", app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 					optCfg := c.Opts.Opt
 					optCfg.NearestSite = true
 					prog, _, err := a.Reoptimize(optCfg)
@@ -69,10 +65,6 @@ func init() {
 			for _, p := range probs {
 				var sp, acc, oh []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
@@ -81,7 +73,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("minprob%.2f/%s", p, app), func() (*r, error) {
+					tw, err := c.memoRun(fmt.Sprintf("minprob%.2f/%s", p, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						optCfg := c.Opts.Opt
 						optCfg.MinProbability = p
 						prog, _, err := a.Reoptimize(optCfg)
@@ -126,12 +118,11 @@ func init() {
 					opts := c.Opts
 					opts.SampleRate = rate
 					key := fmt.Sprintf("srate%d/%s", rate, app)
-					tw, err := c.memoRun(key, func() (*r, error) {
-						art, err := core.BuildAndOptimize(app, 0, opts)
-						if err != nil {
-							return nil, err
-						}
-						return art.RunScheme("twig", 0, opts)
+					// The sampling rate shapes the profile, so each rate
+					// trains its own artifacts.
+					art := c.artUnder(app, opts, fmt.Sprintf("srate%d/", rate))
+					tw, err := c.memoRun(key, art, func(a *core.Artifacts) (*r, error) {
+						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err

@@ -22,26 +22,17 @@ func init() {
 					opts.BTB.Replacement = pol
 					key := fmt.Sprintf("repl-%v/%s", pol, app)
 
-					var art *core.Artifacts
-					var err error
-					if pol == btb.ReplaceLRU {
-						art, err = c.Artifacts(app, 0)
-					} else {
-						// A different policy changes the profile, so the
-						// whole pipeline reruns.
-						art, err = core.BuildAndOptimize(app, 0, opts)
-					}
-					if err != nil {
-						return err
-					}
-					base, err := c.memoRun(key+"/base", func() (*pipeline.Result, error) {
-						return art.RunScheme("baseline", 0, opts)
+					// A different policy changes the profile, so the whole
+					// pipeline reruns.
+					art := c.artUnder(app, opts, fmt.Sprintf("repl-%v/", pol))
+					base, err := c.memoRun(key+"/base", art, func(a *core.Artifacts) (*pipeline.Result, error) {
+						return a.RunScheme("baseline", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(key+"/twig", func() (*pipeline.Result, error) {
-						return art.RunScheme("twig", 0, opts)
+					tw, err := c.memoRun(key+"/twig", art, func(a *core.Artifacts) (*pipeline.Result, error) {
+						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
 						return err

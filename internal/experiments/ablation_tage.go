@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 )
@@ -17,10 +18,6 @@ func init() {
 				"stat mispredict/KI", "tage mispredict/KI",
 				"stat twig % of ideal", "tage twig % of ideal")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				// Statistical model numbers come from the shared caches.
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
@@ -38,19 +35,19 @@ func init() {
 				// TAGE runs.
 				tOpts := c.Opts
 				tOpts.Pipeline.UseTAGE = true
-				baseT, err := c.memoRun(fmt.Sprintf("tage-base/%s", app), func() (*pipeline.Result, error) {
+				baseT, err := c.memoRun(fmt.Sprintf("tage-base/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunScheme("baseline", 0, tOpts)
 				})
 				if err != nil {
 					return err
 				}
-				idealT, err := c.memoRun(fmt.Sprintf("tage-ideal/%s", app), func() (*pipeline.Result, error) {
+				idealT, err := c.memoRun(fmt.Sprintf("tage-ideal/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunScheme("ideal", 0, tOpts)
 				})
 				if err != nil {
 					return err
 				}
-				twT, err := c.memoRun(fmt.Sprintf("tage-twig/%s", app), func() (*pipeline.Result, error) {
+				twT, err := c.memoRun(fmt.Sprintf("tage-twig/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunScheme("twig", 0, tOpts)
 				})
 				if err != nil {

@@ -16,11 +16,7 @@ import (
 
 // idealICache returns the cached ideal-I-cache run (baseline BTB).
 func (c *Context) idealICache(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRun(fmt.Sprintf("idealic/%s/%d", app, input), func() (*pipeline.Result, error) {
+	return c.memoRun(fmt.Sprintf("idealic/%s/%d", app, input), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 		opts := c.Opts
 		opts.Pipeline.IdealICache = true
 		return a.RunScheme("baseline", input, opts)
@@ -39,11 +35,7 @@ func (t threeC) Total() int64 { return t.Compulsory + t.Capacity + t.Conflict }
 // (a run whose payload is the classification, not the Result) and
 // returns the miss-class counts, memoized per BTB geometry.
 func (c *Context) classifiedBaseline(app workload.App, cfg btb.Config) (threeC, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return threeC{}, err
-	}
-	return memoDerived(c, fmt.Sprintf("3c/%s/%dx%d", app, cfg.Entries, cfg.Ways), func() (threeC, error) {
+	return memoDerived(c, fmt.Sprintf("3c/%s/%dx%d", app, cfg.Entries, cfg.Ways), c.art(app, 0), func(a *core.Artifacts) (threeC, error) {
 		scheme := prefetcher.NewBaseline(cfg, 0, true)
 		if _, err := a.RunProgram(a.Program, 0, c.Opts, scheme); err != nil {
 			return threeC{}, err
@@ -273,11 +265,7 @@ func init() {
 			var rs, ns, os []float64
 			type fractions struct{ R, N, O float64 }
 			for _, app := range c.Apps {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
-				fr, err := memoDerived(c, fmt.Sprintf("streams/%s", app), func() (fractions, error) {
+				fr, err := memoDerived(c, fmt.Sprintf("streams/%s", app), c.art(app, 0), func(a *core.Artifacts) (fractions, error) {
 					rec := streams.NewRecorder()
 					opts := c.Opts
 					opts.Pipeline.Sink = rec
@@ -313,11 +301,7 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "uncond working set", "U-BTB entries", "fits")
 			for _, app := range c.Apps {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
-				ws, err := memoDerived(c, fmt.Sprintf("uncond-ws/%s", app), func() (int, error) {
+				ws, err := memoDerived(c, fmt.Sprintf("uncond-ws/%s", app), c.art(app, 0), func(a *core.Artifacts) (int, error) {
 					return uncondWorkingSet(a, c.Opts.Pipeline.MaxInstructions)
 				})
 				if err != nil {
@@ -346,14 +330,10 @@ func init() {
 			}
 			t := metrics.NewTable(header...)
 			for _, app := range c.Apps {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				row := []any{string(app)}
 				for _, rg := range ranges {
 					rg := rg
-					counts, err := memoDerived(c, fmt.Sprintf("shotgun-range/%s/%d", app, rg), func() (rangeCounts, error) {
+					counts, err := memoDerived(c, fmt.Sprintf("shotgun-range/%s/%d", app, rg), c.art(app, 0), func(a *core.Artifacts) (rangeCounts, error) {
 						scfg := prefetcher.DefaultShotgunConfig()
 						scfg.FootprintLines = rg
 						scheme := prefetcher.NewShotgun(scfg)

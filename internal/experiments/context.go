@@ -108,66 +108,77 @@ func (c *Context) clone(out io.Writer) *Context {
 	return &cc
 }
 
-// simHash content-addresses one simulation memo key, or "" when the
-// context's runs carry observable telemetry and must not be cached.
-func (c *Context) simHash(key string) string {
-	if !runner.Cacheable(c.Opts) {
-		return ""
-	}
-	return runner.HashSim(key, c.Opts)
-}
-
 // Artifacts returns (building and caching on first use) the app's
 // binary, profile and Twig analysis for the given training input.
 func (c *Context) Artifacts(app workload.App, train int) (*core.Artifacts, error) {
-	return c.ArtifactsOpts(app, train, c.Opts, "")
-}
-
-// ArtifactsOpts is Artifacts under modified options (sensitivity
-// sweeps rebuild when the BTB geometry changes, because the profile
-// depends on it). tag must uniquely name the variant; it namespaces
-// the job IDs and rides alongside the options hash.
-func (c *Context) ArtifactsOpts(app workload.App, train int, opts core.Options, tag string) (*core.Artifacts, error) {
-	v, err := c.run.Result(c.ctx, runner.ArtifactsJob(app, train, opts, tag))
+	v, err := c.run.Result(c.ctx, c.art(app, train))
 	if err != nil {
 		return nil, err
 	}
 	return v.(*core.Artifacts), nil
 }
 
-// memoRun caches a simulation result under an explicit key. The key
-// must uniquely identify the run given the context's operating point
-// (keys embed the app, scheme, input and any sweep parameter); it is
-// also the content-hash seed for the persistent cache, so a warm cache
-// serves the result without executing the closure — or building the
-// artifacts it captures.
-func (c *Context) memoRun(key string, f func() (*pipeline.Result, error)) (*pipeline.Result, error) {
-	return c.memoRunCtx(key, func(stdctx.Context) (*pipeline.Result, error) { return f() })
+// art returns the job that builds the app's artifacts for the given
+// training input under the context's options.
+func (c *Context) art(app workload.App, train int) *runner.Job {
+	return runner.ArtifactsJob(app, train, c.Opts, "")
 }
 
-// memoRunCtx is memoRun for closures that want the job's execution
-// context — primarily to pick the job's ledger span out of it (see
-// optsWithSpan) so pipeline phase spans nest under the job. Executed
-// runs credit their instruction count to the runner's aggregate kIPS
-// counter; cache replays never reach the closure and credit nothing.
-func (c *Context) memoRunCtx(key string, f func(jctx stdctx.Context) (*pipeline.Result, error)) (*pipeline.Result, error) {
+// artUnder returns the artifacts job (training input 0) for a variant
+// operating point: the shared job when opts canonically equal the
+// context's options (runner.CanonicalOptions), else a job namespaced
+// by tag. A different BTB
+// geometry, replacement policy or sampling rate changes the profile,
+// so the whole profile→analyze→inject pipeline reruns as runner jobs,
+// with the retraining profile disk-cached. tag must uniquely name the
+// variant.
+func (c *Context) artUnder(app workload.App, opts core.Options, tag string) *runner.Job {
+	if runner.CanonicalOptions(opts) == runner.CanonicalOptions(c.Opts) {
+		return c.art(app, 0)
+	}
+	return runner.ArtifactsJob(app, 0, opts, tag)
+}
+
+// memo resolves the job with member m's identity whose one dependency
+// is the artifacts job art, and returns its payload. f receives the
+// job's context (its ledger span rides in it) and the built artifacts.
+// Because the dependency is declared, the artifacts are built before
+// the job takes a worker slot, and a cache hit serves the payload
+// without running f or building the artifacts.
+func memo[T any](c *Context, m runner.Member, art *runner.Job, f func(stdctx.Context, *core.Artifacts) (T, error)) (T, error) {
 	v, err := c.run.Result(c.ctx, &runner.Job{
-		ID:    "run/" + key,
-		Kind:  runner.KindSim,
-		Hash:  c.simHash(key),
-		Codec: runner.ResultCodec{},
-		Run: func(jctx stdctx.Context, _ []any) (any, error) {
-			res, err := f(jctx)
-			if err == nil {
-				c.run.AddSimInstructions(res.Instructions)
-			}
-			return res, err
+		ID:    m.ID,
+		Kind:  m.Kind,
+		Hash:  m.Hash,
+		Codec: m.Codec,
+		Deps:  []*runner.Job{art},
+		Run: func(jctx stdctx.Context, deps []any) (any, error) {
+			return f(jctx, deps[0].(*core.Artifacts))
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", key, err)
+		var zero T
+		return zero, fmt.Errorf("experiments: %s: %w", m.ID, err)
 	}
-	return v.(*pipeline.Result), nil
+	return v.(T), nil
+}
+
+// memoRun caches the simulation f runs on the artifacts art builds,
+// under an explicit memo key. The key must uniquely identify the run
+// given the context's operating point (keys embed the app, scheme,
+// input and any sweep parameter); it is also the content-hash seed for
+// the persistent cache (runner.SimMember), so a warm cache serves the
+// result without executing f or building the artifacts. Executed runs
+// credit their instruction count to the runner's aggregate kIPS
+// counter; cache replays never reach f and credit nothing.
+func (c *Context) memoRun(key string, art *runner.Job, f func(*core.Artifacts) (*pipeline.Result, error)) (*pipeline.Result, error) {
+	return memo(c, runner.SimMember(key, c.Opts), art, func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+		res, err := f(a)
+		if err == nil {
+			c.run.AddSimInstructions(res.Instructions)
+		}
+		return res, err
+	})
 }
 
 // optsWithSpan returns the context's options with the job's ledger
@@ -185,99 +196,46 @@ func (c *Context) optsWithSpan(jctx stdctx.Context) core.Options {
 
 // memoDerived caches a JSON-serializable derived statistic (3C
 // classification counts, stream fractions, working-set sizes) that an
-// instrumented or auxiliary run computes, under the same keying and
-// cache rules as memoRun.
-func memoDerived[T any](c *Context, key string, f func() (T, error)) (T, error) {
+// instrumented or auxiliary run on the artifacts art builds computes,
+// under the same keying and cache rules as memoRun.
+func memoDerived[T any](c *Context, key string, art *runner.Job, f func(*core.Artifacts) (T, error)) (T, error) {
 	h := ""
 	if runner.Cacheable(c.Opts) {
 		h = runner.HashDerived(key, c.Opts)
 	}
-	v, err := c.run.Result(c.ctx, &runner.Job{
-		ID:    "derived/" + key,
-		Kind:  runner.KindDerived,
-		Hash:  h,
-		Codec: runner.JSONCodec[T]{},
-		Run:   func(stdctx.Context, []any) (any, error) { return f() },
-	})
-	if err != nil {
-		var zero T
-		return zero, fmt.Errorf("experiments: %s: %w", key, err)
-	}
-	return v.(T), nil
+	m := runner.Member{ID: "derived/" + key, Kind: runner.KindDerived, Hash: h, Codec: runner.JSONCodec[T]{}}
+	return memo(c, m, art, func(_ stdctx.Context, a *core.Artifacts) (T, error) { return f(a) })
 }
 
 // Scheme returns the cached run of one named scheme (core.SchemeNames)
-// for (app, input), computed as a job of its own. Its memo key comes
-// from runner.SchemeMemoKey, so the grouped Schemes path, the facade's
+// for (app, input), computed as a job of its own. Its identity comes
+// from runner.SchemeMember, so the grouped Schemes path, the facade's
 // RunMatrix and twigd fleet workers address the same memo entry and
 // cache envelope.
 func (c *Context) Scheme(app workload.App, input int, name string) (*pipeline.Result, error) {
-	key, err := runner.SchemeMemoKey(name, app, input)
+	m, err := runner.SchemeMember(name, app, input, c.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(key, func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunScheme(name, input, c.optsWithSpan(jctx))
+	return memo(c, m, c.art(app, 0), func(jctx stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+		res, err := a.RunScheme(name, input, c.optsWithSpan(jctx))
+		if err == nil {
+			c.run.AddSimInstructions(res.Instructions)
+		}
+		return res, err
 	})
 }
 
 // Schemes returns the cached runs of the named schemes (core.SchemeNames)
-// for (app, input), keyed by scheme name. Members missing from the
-// cache are computed in one shared-stream pass (core.RunSchemes over a
-// stepcast broadcast), with already-cached members peeled out of the
-// group first; payloads and cache entries are identical to Scheme's, so
-// either path warms the other.
+// for (app, input), keyed by scheme name, through runner.Runner.Schemes:
+// members missing from the cache run in one shared-stream pass, with
+// already-cached members peeled out of the group first; payloads and
+// cache entries are identical to Scheme's, so either path warms the
+// other.
 func (c *Context) Schemes(app workload.App, input int, names ...string) (map[string]*pipeline.Result, error) {
-	if len(names) == 0 {
-		return map[string]*pipeline.Result{}, nil
-	}
-	members := make([]runner.Member, len(names))
-	byID := make(map[string]string, len(names))
-	for i, n := range names {
-		key, err := runner.SchemeMemoKey(n, app, input)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		members[i] = runner.Member{
-			ID:    "run/" + key,
-			Kind:  runner.KindSim,
-			Hash:  c.simHash(key),
-			Codec: runner.ResultCodec{},
-		}
-		byID[members[i].ID] = n
-	}
-	art := runner.ArtifactsJob(app, 0, c.Opts, "")
-	vals, err := c.run.GroupResult(c.ctx, members, []*runner.Job{art},
-		func(jctx stdctx.Context, deps []any, need []runner.Member) (map[string]any, error) {
-			a := deps[0].(*core.Artifacts)
-			run := make([]string, len(need))
-			for i, m := range need {
-				run[i] = byID[m.ID]
-			}
-			res, err := a.RunSchemes(run, input, c.optsWithSpan(jctx))
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string]any, len(need))
-			var executed int64
-			for _, m := range need {
-				r := res[byID[m.ID]]
-				executed += r.Instructions
-				out[m.ID] = r
-			}
-			c.run.AddSimInstructions(executed)
-			return out, nil
-		})
+	out, err := c.run.Schemes(c.ctx, c.art(app, 0), app, input, names, c.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: schemes %s/%d: %w", app, input, err)
-	}
-	out := make(map[string]*pipeline.Result, len(names))
-	for id, v := range vals {
-		out[byID[id]] = v.(*pipeline.Result)
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"twig/internal/btb"
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
@@ -93,10 +94,6 @@ func init() {
 			t := metrics.NewTable("app", "sw-only % of ideal", "with coalescing % of ideal", "coalescing gain")
 			var sws, fulls []float64
 			for _, app := range c.Apps {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
@@ -109,7 +106,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				swOnly, err := c.memoRun(fmt.Sprintf("swonly/%s", app), func() (*r, error) {
+				swOnly, err := c.memoRun(fmt.Sprintf("swonly/%s", app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 					optCfg := c.Opts.Opt
 					optCfg.DisableCoalescing = true
 					prog, _, err := a.Reoptimize(optCfg)
@@ -182,12 +179,8 @@ func init() {
 					cross = append(cross, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
 
 					// Twig trained and tested on the same input.
-					sameArt, err := c.Artifacts(app, input)
-					if err != nil {
-						return err
-					}
-					twSame, err := c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), func() (*r, error) {
-						return sameArt.RunScheme("twig", input, c.Opts)
+					twSame, err := c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), c.art(app, input), func(a *core.Artifacts) (*r, error) {
+						return a.RunScheme("twig", input, c.Opts)
 					})
 					if err != nil {
 						return err
@@ -291,11 +284,7 @@ func init() {
 // bigBTB returns the cached run of the unmodified binary with an
 // entries-sized baseline BTB (Fig. 16's 32K comparison point).
 func (c *Context) bigBTB(app workload.App, entries int) (*r, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRun(fmt.Sprintf("btb%d/%s", entries, app), func() (*r, error) {
+	return c.memoRun(fmt.Sprintf("btb%d/%s", entries, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 		scheme := prefetcher.NewBaseline(btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}, 0, false)
 		return a.RunProgram(a.Program, 0, c.Opts, scheme)
 	})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
@@ -22,10 +23,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "phantom sp%", "boomerang sp%", "bulk-preload sp%", "shotgun sp%", "twig sp%", "phantom cov%", "boomerang cov%", "bulk cov%", "twig cov%")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
@@ -38,19 +35,19 @@ func init() {
 				if err != nil {
 					return err
 				}
-				boom, err := c.memoRun(fmt.Sprintf("boomerang/%s", app), func() (*pipeline.Result, error) {
+				boom, err := c.memoRun(fmt.Sprintf("boomerang/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewBoomerang(c.Opts.BTB))
 				})
 				if err != nil {
 					return err
 				}
-				bulk, err := c.memoRun(fmt.Sprintf("bulk/%s", app), func() (*pipeline.Result, error) {
+				bulk, err := c.memoRun(fmt.Sprintf("bulk/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewBulkPreload(prefetcher.DefaultBulkPreloadConfig()))
 				})
 				if err != nil {
 					return err
 				}
-				phantom, err := c.memoRun(fmt.Sprintf("phantom/%s", app), func() (*pipeline.Result, error) {
+				phantom, err := c.memoRun(fmt.Sprintf("phantom/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewPhantom(prefetcher.DefaultPhantomConfig()))
 				})
 				if err != nil {
@@ -80,10 +77,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "layout sp%", "twig sp%", "layout+twig sp%", "layout icMPKI", "base icMPKI")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
@@ -92,11 +85,11 @@ func init() {
 				if err != nil {
 					return err
 				}
-				reordered, err := a.Program.ReorderFunctions(a.Program.HotFunctionOrder(a.Profile.BlockExecs))
-				if err != nil {
-					return err
-				}
-				layout, err := c.memoRun(fmt.Sprintf("layout/%s", app), func() (*pipeline.Result, error) {
+				layout, err := c.memoRun(fmt.Sprintf("layout/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
+					reordered, err := a.Program.ReorderFunctions(a.Program.HotFunctionOrder(a.Profile.BlockExecs))
+					if err != nil {
+						return nil, err
+					}
 					return a.RunProgram(reordered, 0, c.Opts, prefetcher.NewBaseline(c.Opts.BTB, 0, false))
 				})
 				if err != nil {
@@ -104,7 +97,11 @@ func init() {
 				}
 				// Keyed apart from results cached before Analyze found
 				// site blocks by ID on a reordered binary.
-				both, err := c.memoRun(fmt.Sprintf("layout+twig/%s", app), func() (*pipeline.Result, error) {
+				both, err := c.memoRun(fmt.Sprintf("layout+twig/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
+					reordered, err := a.Program.ReorderFunctions(a.Program.HotFunctionOrder(a.Profile.BlockExecs))
+					if err != nil {
+						return nil, err
+					}
 					an, err := twigopt.Analyze(reordered, a.Profile, c.Opts.Opt)
 					if err != nil {
 						return nil, err
@@ -141,10 +138,6 @@ func init() {
 				"conv MPKI", "compressed MPKI",
 				"twig-on-conv sp%", "twig-on-compressed sp%", "effective entries")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Scheme(app, 0, "baseline")
 				if err != nil {
 					return err
@@ -154,13 +147,13 @@ func init() {
 					return err
 				}
 				ccfg := prefetcher.DefaultCompressedConfig()
-				compBase, err := c.memoRun(fmt.Sprintf("comp-base/%s", app), func() (*pipeline.Result, error) {
+				compBase, err := c.memoRun(fmt.Sprintf("comp-base/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunProgram(a.Program, 0, c.Opts, prefetcher.NewCompressed(ccfg, 0))
 				})
 				if err != nil {
 					return err
 				}
-				compTwig, err := c.memoRun(fmt.Sprintf("comp-twig/%s", app), func() (*pipeline.Result, error) {
+				compTwig, err := c.memoRun(fmt.Sprintf("comp-twig/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunProgram(a.Optimized, 0, c.Opts, prefetcher.NewCompressed(ccfg, c.Opts.PrefetchBuffer))
 				})
 				if err != nil {

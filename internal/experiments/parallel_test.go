@@ -112,12 +112,56 @@ func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 		t.Fatalf("warm run executed sims=%d profiles=%d derived=%d, want all zero\n%s",
 			ws.SimRuns, ws.ProfileRuns, ws.DerivedRuns, ws.Summary())
 	}
+	// Every job of this subset runs on artifacts it declares as a
+	// dependency, so cache hits prune them: the warm run neither loads
+	// a profile nor rebuilds a binary or an analysis.
+	if ws.ProfileHits != 0 || ws.OtherRuns != 0 {
+		t.Fatalf("warm run loaded %d profiles and ran %d builds or analyses, want 0 and 0\n%s",
+			ws.ProfileHits, ws.OtherRuns, ws.Summary())
+	}
 	if ws.DiskHits == 0 {
 		t.Fatalf("warm run hit the disk tier 0 times: %s", ws.Summary())
 	}
 	if first.String() != second.String() {
 		t.Fatalf("warm-cache output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
 			first.String(), second.String())
+	}
+}
+
+// TestAblationsTrainThroughRunner pins that the ablations which retrain
+// under another replacement policy or sampling rate do so as runner
+// jobs: a cold run counts every training run, and a warm rerun over the
+// same disk cache trains nothing and renders the same text.
+func TestAblationsTrainThroughRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains six profiles")
+	}
+	ids := []string{"ablation-replacement", "ablation-sampling"}
+	dir := t.TempDir()
+	render := func() (string, runner.Stats) {
+		cache, err := runner.OpenCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		ctx := newTestContext(&out, 2, cache)
+		if err := ctx.RunSelected(ids, 2); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), ctx.Runner().Stats()
+	}
+	cold, cs := render()
+	// The default operating point (LRU, every miss sampled), FIFO,
+	// random, and sampling every 4th, 16th and 64th miss.
+	if cs.ProfileRuns != 6 {
+		t.Errorf("cold run counted %d training runs, want 6\n%s", cs.ProfileRuns, cs.Summary())
+	}
+	warm, ws := render()
+	if ws.ProfileRuns != 0 || ws.SimRuns != 0 {
+		t.Errorf("warm run trained %d profiles and ran %d sims, want 0 and 0\n%s", ws.ProfileRuns, ws.SimRuns, ws.Summary())
+	}
+	if warm != cold {
+		t.Errorf("warm output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
 	}
 }
 

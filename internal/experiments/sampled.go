@@ -4,8 +4,8 @@ import (
 	stdctx "context"
 	"fmt"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
-	"twig/internal/pipeline"
 	"twig/internal/runner"
 	"twig/internal/sampling"
 	"twig/internal/workload"
@@ -38,73 +38,39 @@ func (c *Context) sampleSpec() sampling.Spec {
 // "sims" telemetry bucket — and its hash covers the spec, so changing
 // the spec re-estimates while exact results stay cached.
 func (c *Context) Sampled(app workload.App, input int, scheme string) (*sampling.Estimate, error) {
-	memo, err := runner.SchemeMemoKey(scheme, app, input)
+	memoKey, err := runner.SchemeMemoKey(scheme, app, input)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
 	}
 	opts := c.Opts
 	opts.Sample = c.sampleSpec()
-	key := "sampled/" + memo
+	key := "sampled/" + memoKey
 	h := ""
 	if runner.Cacheable(opts) {
 		h = runner.HashSampled(key, opts)
 	}
-	v, err := c.run.Result(c.ctx, &runner.Job{
-		ID:    "run/" + key,
-		Kind:  runner.KindSampled,
-		Hash:  h,
-		Codec: runner.JSONCodec[*sampling.Estimate]{},
-		Run: func(jctx stdctx.Context, _ []any) (any, error) {
-			a, err := c.Artifacts(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			o := opts
-			o.Telemetry = c.optsWithSpan(jctx).Telemetry
-			est, err := a.RunSchemeSampled(scheme, input, o)
-			if err == nil {
-				c.run.AddSimInstructions(est.DetailedInstructions)
-			}
-			return est, err
-		},
+	m := runner.Member{ID: "run/" + key, Kind: runner.KindSampled, Hash: h, Codec: runner.JSONCodec[*sampling.Estimate]{}}
+	return memo(c, m, c.art(app, 0), func(jctx stdctx.Context, a *core.Artifacts) (*sampling.Estimate, error) {
+		o := opts
+		o.Telemetry = c.optsWithSpan(jctx).Telemetry
+		est, err := a.RunSchemeSampled(scheme, input, o)
+		if err == nil {
+			c.run.AddSimInstructions(est.DetailedInstructions)
+		}
+		return est, err
 	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", key, err)
-	}
-	return v.(*sampling.Estimate), nil
 }
 
 // Checkpoint returns (computing and caching on first use) a serialized
 // simulator checkpoint of one named scheme at instruction position
-// `at`. The payload is the raw self-validating checkpoint envelope;
-// restore it with core.Artifacts.ResumeScheme under the same options.
+// `at` (runner.Runner.Checkpoint). Restore it with
+// core.Artifacts.ResumeScheme under the same options.
 func (c *Context) Checkpoint(app workload.App, input int, scheme string, at int64) ([]byte, error) {
-	memo, err := runner.SchemeMemoKey(scheme, app, input)
+	data, err := c.run.Checkpoint(c.ctx, c.art(app, 0), scheme, app, input, at, c.Opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
+		return nil, fmt.Errorf("experiments: checkpoint %s %s/%d@%d: %w", scheme, app, input, at, err)
 	}
-	key := "ckpt/" + memo
-	h := ""
-	if runner.Cacheable(c.Opts) {
-		h = runner.HashCheckpoint(key, at, c.Opts)
-	}
-	v, err := c.run.Result(c.ctx, &runner.Job{
-		ID:    fmt.Sprintf("%s@%d", key, at),
-		Kind:  runner.KindCheckpoint,
-		Hash:  h,
-		Codec: runner.CheckpointCodec{},
-		Run: func(stdctx.Context, []any) (any, error) {
-			a, err := c.Artifacts(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.CheckpointScheme(scheme, input, c.Opts, at)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s@%d: %w", key, at, err)
-	}
-	return v.([]byte), nil
+	return data, nil
 }
 
 // The "sampled" experiment validates interval sampling against the
@@ -123,12 +89,7 @@ func init() {
 			t := metrics.NewTable("app", "scheme", "exact IPC", "sampled IPC", "95% CI", "in CI", "exact MPKI", "sampled MPKI", "work red.")
 			for _, app := range c.SweepApps() {
 				for _, scheme := range []string{"baseline", "twig"} {
-					exact, err := func() (*pipeline.Result, error) {
-						if scheme == "twig" {
-							return c.Scheme(app, 0, "twig")
-						}
-						return c.Scheme(app, 0, "baseline")
-					}()
+					exact, err := c.Scheme(app, 0, scheme)
 					if err != nil {
 						return err
 					}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	stdctx "context"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"twig/internal/runner"
 	"twig/internal/telemetry"
@@ -64,7 +66,8 @@ func TestSampledExperimentDeterministicAcrossWorkers(t *testing.T) {
 // TestSampledAndCheckpointJobsCacheAddressable pins the runner wiring:
 // sampled estimates and checkpoints are content-addressed cache
 // entries, so a warm rerun replays both without executing a single
-// simulation — and a checkpoint pulled from the cache resumes to the
+// simulation; either job runs first on a 1-worker runner without
+// deadlocking; and a checkpoint pulled from the cache resumes to the
 // exact result of an uninterrupted run.
 func TestSampledAndCheckpointJobsCacheAddressable(t *testing.T) {
 	if testing.Short() {
@@ -112,6 +115,31 @@ func TestSampledAndCheckpointJobsCacheAddressable(t *testing.T) {
 	}
 	if !bytes.Equal(ckptCold, ckptWarm) {
 		t.Error("cache-replayed checkpoint bytes differ")
+	}
+
+	// A fresh 1-worker runner checkpoints, and another samples, before
+	// anything has built the artifacts. The artifacts are a declared
+	// dependency, built before the job takes the only worker slot; a job
+	// body that built them itself would wait forever for that slot.
+	// The deadline turns such a hang into a failure.
+	dctx, cancel := stdctx.WithTimeout(stdctx.Background(), time.Minute)
+	defer cancel()
+	fresh := func() *Context {
+		c := NewContext(&bytes.Buffer{}, 40_000)
+		c.Apps = []workload.App{app}
+		c.SetContext(dctx)
+		return c
+	}
+	ckptFirst, err := fresh().Checkpoint(app, 0, "baseline", at)
+	if err != nil {
+		t.Fatalf("checkpoint first on a 1-worker runner: %v", err)
+	}
+	estFirst, err := fresh().Sampled(app, 0, "baseline")
+	if err != nil {
+		t.Fatalf("sampled first on a 1-worker runner: %v", err)
+	}
+	if !bytes.Equal(ckptFirst, ckptCold) || !reflect.DeepEqual(estFirst, estCold) {
+		t.Error("1-worker checkpoint or estimate differs from the 2-worker run's")
 	}
 
 	// The cached checkpoint resumes to the uninterrupted run's result.

@@ -18,23 +18,23 @@ import (
 // workload scale, which makes a ratio numerically meaningless; so no
 // ideal run is made (the ideal BTB ignores the swept geometry anyway).
 func (c *Context) sweepPoint(app workload.App, opts core.Options, key string) (twig, shotgun, confluence float64, err error) {
-	art, err := c.sweepArtifacts(app, opts, key)
+	art := c.artUnder(app, opts, key+"/")
+	run := func(prefix, scheme string) (*r, error) {
+		return c.memoRun(prefix+key, art, func(a *core.Artifacts) (*r, error) { return a.RunScheme(scheme, 0, opts) })
+	}
+	base, err := run("swp-base/", "baseline")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	base, err := c.memoRun("swp-base/"+key, func() (*r, error) { return art.RunScheme("baseline", 0, opts) })
+	tw, err := run("swp-twig/", "twig")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	tw, err := c.memoRun("swp-twig/"+key, func() (*r, error) { return art.RunScheme("twig", 0, opts) })
+	sh, err := run("swp-shot/", "shotgun")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	sh, err := c.memoRun("swp-shot/"+key, func() (*r, error) { return art.RunScheme("shotgun", 0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cf, err := c.memoRun("swp-conf/"+key, func() (*r, error) { return art.RunScheme("confluence", 0, opts) })
+	cf, err := run("swp-conf/", "confluence")
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -42,18 +42,6 @@ func (c *Context) sweepPoint(app workload.App, opts core.Options, key string) (t
 		metrics.Speedup(base.IPC(), sh.IPC()),
 		metrics.Speedup(base.IPC(), cf.IPC()),
 		nil
-}
-
-// sweepArtifacts returns the artifacts for a sweep point: the shared
-// ones at the context's BTB geometry, or a rebuilt variant when the
-// point changes it (a different geometry changes the profile, so the
-// whole profile→analyze→inject pipeline reruns, as runner jobs, making
-// the retraining profile disk-cacheable).
-func (c *Context) sweepArtifacts(app workload.App, opts core.Options, key string) (*core.Artifacts, error) {
-	if opts.BTB == c.Opts.BTB {
-		return c.Artifacts(app, 0)
-	}
-	return c.ArtifactsOpts(app, 0, opts, key+"/")
 }
 
 func init() {
@@ -117,10 +105,6 @@ func init() {
 			for _, s := range sizes {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
@@ -131,7 +115,7 @@ func init() {
 					}
 					opts := c.Opts
 					opts.PrefetchBuffer = s
-					tw, err := c.memoRun(fmt.Sprintf("buf%d/%s", s, app), func() (*r, error) {
+					tw, err := c.memoRun(fmt.Sprintf("buf%d/%s", s, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {
@@ -157,10 +141,6 @@ func init() {
 			for _, d := range distances {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
@@ -169,7 +149,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("dist%.0f/%s", d, app), func() (*r, error) {
+					tw, err := c.memoRun(fmt.Sprintf("dist%.0f/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						optCfg := c.Opts.Opt
 						optCfg.PrefetchDistance = d
 						prog, _, err := a.Reoptimize(optCfg)
@@ -201,10 +181,6 @@ func init() {
 			for _, w := range widths {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Scheme(app, 0, "baseline")
 					if err != nil {
 						return err
@@ -213,7 +189,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("mask%d/%s", w, app), func() (*r, error) {
+					tw, err := c.memoRun(fmt.Sprintf("mask%d/%s", w, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						optCfg := c.Opts.Opt
 						optCfg.CoalesceMaskBits = w
 						prog, _, err := a.Reoptimize(optCfg)
@@ -245,25 +221,21 @@ func init() {
 			for _, d := range depths {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					opts := c.Opts
 					opts.Pipeline.FTQSize = d
-					base, err := c.memoRun(fmt.Sprintf("ftq%d-base/%s", d, app), func() (*r, error) {
+					base, err := c.memoRun(fmt.Sprintf("ftq%d-base/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						return a.RunScheme("baseline", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
-					ideal, err := c.memoRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), func() (*r, error) {
+					ideal, err := c.memoRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						return a.RunScheme("ideal", 0, opts)
 					})
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("ftq%d-twig/%s", d, app), func() (*r, error) {
+					tw, err := c.memoRun(fmt.Sprintf("ftq%d-twig/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
 						return a.RunScheme("twig", 0, opts)
 					})
 					if err != nil {

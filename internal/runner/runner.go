@@ -14,8 +14,12 @@
 // byte-identical regardless of worker count, completion order, or
 // whether they were computed or replayed from the cache.
 //
-// The experiment harness (internal/experiments) and the twig facade's
-// RunMatrix are the two clients; see DESIGN.md for the job model.
+// It has three clients: the experiment harness (internal/experiments),
+// the twig facade's RunMatrix, and twigd fleet workers. All three run
+// a cached scheme the same way — a job listing its ArtifactsJob in Deps,
+// with its identity from SchemeMember or CheckpointMember, resolved
+// through Runner.Schemes or Runner.Checkpoint — so their memo entries
+// and cache envelopes interoperate. See DESIGN.md for the job model.
 package runner
 
 import (

@@ -33,7 +33,6 @@ import (
 	"twig/internal/core"
 	"twig/internal/runner"
 	"twig/internal/sampling"
-	"twig/internal/telemetry"
 	"twig/internal/workload"
 )
 
@@ -228,27 +227,27 @@ func (s *JobSpec) ResultHashes() ([]string, error) {
 	case JobSchemes:
 		hashes := make([]string, len(s.Schemes))
 		for i, sc := range s.Schemes {
-			memo, err := runner.SchemeMemoKey(sc, s.App, s.Input)
+			m, err := runner.SchemeMember(sc, s.App, s.Input, opts)
 			if err != nil {
 				return nil, err
 			}
-			hashes[i] = runner.HashSim(memo, opts)
+			hashes[i] = m.Hash
 		}
 		return hashes, nil
 	case JobProfile:
 		return []string{runner.HashProfile(s.App, s.Train, opts)}, nil
 	case JobCheckpoint:
-		memo, err := runner.SchemeMemoKey(s.Scheme, s.App, s.Input)
+		m, err := runner.CheckpointMember(s.Scheme, s.App, s.Input, s.At, opts)
 		if err != nil {
 			return nil, err
 		}
-		return []string{runner.HashCheckpoint("ckpt/"+memo, s.At, opts)}, nil
+		return []string{m.Hash}, nil
 	case JobResume:
-		memo, err := runner.SchemeMemoKey(s.Scheme, s.App, s.Input)
+		m, err := runner.SchemeMember(s.Scheme, s.App, s.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return []string{runner.HashSim(memo, opts)}, nil
+		return []string{m.Hash}, nil
 	}
 	return nil, fmt.Errorf("twigd: unknown job type %q", s.Type)
 }
@@ -406,14 +405,4 @@ type FleetStatus struct {
 	Workers    []WorkerStatus `json:"workers"`
 	Blobs      BlobStats      `json:"blobs"`
 	LeaseTTLMs int64          `json:"lease_ttl_ms"`
-}
-
-// optsWithSpan attaches a job's ledger span to the options, mirroring
-// the experiment harness, so worker-side pipeline phases nest under
-// the job span when a ledger is configured.
-func optsWithSpan(opts core.Options, sp *telemetry.Span) core.Options {
-	if sp != nil {
-		opts.Telemetry.Span = sp
-	}
-	return opts
 }

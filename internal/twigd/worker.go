@@ -9,7 +9,6 @@ import (
 
 	"twig/internal/core"
 	"twig/internal/runner"
-	"twig/internal/telemetry"
 )
 
 // Worker is one fleet member: it registers with the coordinator,
@@ -168,11 +167,12 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 	}
 }
 
-// runSpec executes one spec through the runner. Every job body uses
-// the exact memo IDs and content hashes of the local execution paths
-// (experiments Context, facade RunMatrix), so the cache entries the
-// remote tier receives are indistinguishable from locally computed
-// ones.
+// runSpec executes one spec through the runner. Every job takes its
+// identity from the runner functions the local execution paths
+// (experiments Context, facade RunMatrix) use — Runner.Schemes,
+// Runner.Checkpoint, SchemeMember, CheckpointMember — so the cache
+// entries the remote tier receives are indistinguishable from locally
+// computed ones.
 func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner, cache *runner.Cache) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -185,87 +185,36 @@ func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner,
 		return err
 
 	case JobSchemes:
-		members := make([]runner.Member, len(spec.Schemes))
-		byID := make(map[string]string, len(spec.Schemes))
-		for i, name := range spec.Schemes {
-			memo, err := runner.SchemeMemoKey(name, spec.App, spec.Input)
-			if err != nil {
-				return err
-			}
-			members[i] = runner.Member{
-				ID:    "run/" + memo,
-				Kind:  runner.KindSim,
-				Hash:  runner.HashSim(memo, opts),
-				Codec: runner.ResultCodec{},
-			}
-			byID[members[i].ID] = name
-		}
-		_, err := run.GroupResult(ctx, members, []*runner.Job{art},
-			func(jctx context.Context, deps []any, need []runner.Member) (map[string]any, error) {
-				a := deps[0].(*core.Artifacts)
-				names := make([]string, len(need))
-				for i, m := range need {
-					names[i] = byID[m.ID]
-				}
-				rs, err := a.RunSchemes(names, spec.Input, optsWithSpan(opts, telemetry.SpanFromContext(jctx)))
-				if err != nil {
-					return nil, err
-				}
-				out := make(map[string]any, len(need))
-				var executed int64
-				for _, m := range need {
-					r := rs[byID[m.ID]]
-					executed += r.Instructions
-					out[m.ID] = r
-				}
-				run.AddSimInstructions(executed)
-				return out, nil
-			})
+		_, err := run.Schemes(ctx, art, spec.App, spec.Input, spec.Schemes, opts)
 		return err
 
 	case JobCheckpoint:
-		memo, err := runner.SchemeMemoKey(spec.Scheme, spec.App, spec.Input)
-		if err != nil {
-			return err
-		}
-		key := "ckpt/" + memo
-		_, err = run.Result(ctx, &runner.Job{
-			ID:    fmt.Sprintf("%s@%d", key, spec.At),
-			Kind:  runner.KindCheckpoint,
-			Hash:  runner.HashCheckpoint(key, spec.At, opts),
-			Codec: runner.CheckpointCodec{},
-			Deps:  []*runner.Job{art},
-			Run: func(_ context.Context, deps []any) (any, error) {
-				a := deps[0].(*core.Artifacts)
-				data, err := a.CheckpointScheme(spec.Scheme, spec.Input, opts, spec.At)
-				if err == nil {
-					run.AddSimInstructions(spec.At)
-				}
-				return data, err
-			},
-		})
+		_, err := run.Checkpoint(ctx, art, spec.Scheme, spec.App, spec.Input, spec.At, opts)
 		return err
 
 	case JobResume:
-		memo, err := runner.SchemeMemoKey(spec.Scheme, spec.App, spec.Input)
+		m, err := runner.SchemeMember(spec.Scheme, spec.App, spec.Input, opts)
 		if err != nil {
 			return err
 		}
-		ckptHash := runner.HashCheckpoint("ckpt/"+memo, spec.At, opts)
+		ckpt, err := runner.CheckpointMember(spec.Scheme, spec.App, spec.Input, spec.At, opts)
+		if err != nil {
+			return err
+		}
 		_, err = run.Result(ctx, &runner.Job{
-			ID:    "run/" + memo,
-			Kind:  runner.KindSim,
-			Hash:  runner.HashSim(memo, opts),
-			Codec: runner.ResultCodec{},
+			ID:    m.ID,
+			Kind:  m.Kind,
+			Hash:  m.Hash,
+			Codec: m.Codec,
 			Deps:  []*runner.Job{art},
 			Run: func(_ context.Context, deps []any) (any, error) {
 				// The checkpoint arrives through the cache's remote tier
 				// (WaitFor guaranteed it exists before this job was
 				// claimable), already envelope-validated; the checkpoint
 				// payload additionally self-validates on restore.
-				v, ok := cache.Get(ckptHash, runner.CheckpointCodec{})
+				v, ok := cache.Get(ckpt.Hash, runner.CheckpointCodec{})
 				if !ok {
-					return nil, fmt.Errorf("twigd: checkpoint %s unavailable", ckptHash[:12])
+					return nil, fmt.Errorf("twigd: checkpoint %s unavailable", ckpt.Hash[:12])
 				}
 				a := deps[0].(*core.Artifacts)
 				r, err := a.ResumeScheme(spec.Scheme, spec.Input, opts, v.([]byte))

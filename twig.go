@@ -605,7 +605,7 @@ func SchemeNames() []string {
 // "every scheme in SchemeNames" and "input 0". Each application is
 // built, profiled and analyzed once as a job DAG shared by its cells,
 // and each (app, input) point's schemes run as one grouped job over a
-// shared broadcast stream (runner.GroupResult over core.RunSchemes) —
+// shared broadcast stream (runner.Runner.Schemes) —
 // cells already in the cache peel out of their group before anything
 // executes, so on a warm cache every cell — and the training profile
 // behind it — replays from disk without executing anything. The
@@ -654,73 +654,36 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 	}
 	run := runner.New(runner.Options{Workers: cfg.Jobs, Cache: cache})
 
-	// One group per (app, input) point: its cells share a stream. Member
-	// IDs and hashes are exactly those of the equivalent individual jobs,
-	// so caches warmed by either path serve the other.
-	type group struct {
-		app     App
-		input   int
-		art     *runner.Job
-		members []runner.Member
-		byID    map[string]string // member ID -> scheme name
+	// One group per (app, input) point: its cells share a stream.
+	type point struct {
+		app   App
+		input int
 	}
-	var groups []group
+	var points []point
 	for _, app := range apps {
-		art := runner.ArtifactsJob(app, 0, opts, "")
 		for _, input := range inputs {
-			g := group{app: app, input: input, art: art, byID: make(map[string]string, len(schemes))}
-			for _, scheme := range schemes {
-				memo, _ := runner.SchemeMemoKey(scheme, app, input) // schemes validated above
-				h := ""
-				if runner.Cacheable(opts) {
-					h = runner.HashSim(memo, opts)
-				}
-				id := "run/" + memo
-				g.members = append(g.members, runner.Member{
-					ID:    id,
-					Kind:  runner.KindSim,
-					Hash:  h,
-					Codec: runner.ResultCodec{},
-				})
-				g.byID[id] = scheme
-			}
-			groups = append(groups, g)
+			points = append(points, point{app, input})
 		}
 	}
-
-	vals := make([]map[string]any, len(groups))
-	errs := make([]error, len(groups))
+	vals := make([]map[string]*pipeline.Result, len(points))
+	errs := make([]error, len(points))
 	var wg sync.WaitGroup
-	for i := range groups {
+	for i, p := range points {
 		wg.Add(1)
-		go func(i int, g group) {
+		go func(i int, p point) {
 			defer wg.Done()
-			vals[i], errs[i] = run.GroupResult(ctx, g.members, []*runner.Job{g.art},
-				func(_ context.Context, deps []any, need []runner.Member) (map[string]any, error) {
-					names := make([]string, len(need))
-					for j, m := range need {
-						names[j] = g.byID[m.ID]
-					}
-					rs, err := deps[0].(*core.Artifacts).RunSchemes(names, g.input, opts)
-					if err != nil {
-						return nil, err
-					}
-					out := make(map[string]any, len(need))
-					for _, m := range need {
-						out[m.ID] = rs[g.byID[m.ID]]
-					}
-					return out, nil
-				})
-		}(i, groups[i])
+			art := runner.ArtifactsJob(p.app, 0, opts, "")
+			vals[i], errs[i] = run.Schemes(ctx, art, p.app, p.input, schemes, opts)
+		}(i, p)
 	}
 	wg.Wait()
-	out := make(map[MatrixKey]Result, len(groups)*len(schemes))
-	for i, g := range groups {
+	out := make(map[MatrixKey]Result, len(points)*len(schemes))
+	for i, p := range points {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("twig: %s input %d: %w", g.app, g.input, errs[i])
+			return nil, fmt.Errorf("twig: %s input %d: %w", p.app, p.input, errs[i])
 		}
-		for id, scheme := range g.byID {
-			out[MatrixKey{g.app, scheme, g.input}] = toResult(vals[i][id].(*pipeline.Result))
+		for scheme, res := range vals[i] {
+			out[MatrixKey{p.app, scheme, p.input}] = toResult(res)
 		}
 	}
 	return out, nil
