@@ -181,7 +181,7 @@ func TestBuildWithProfileRejectsMalformedProfile(t *testing.T) {
 	}
 	victim := -1
 	for i := range art.Profile.Samples {
-		if len(art.Profile.Samples[i].History) > 0 {
+		if len(art.Profile.Window(i)) > 0 {
 			victim = i
 			break
 		}
@@ -195,11 +195,13 @@ func TestBuildWithProfileRejectsMalformedProfile(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		corrupt func(*profile.Sample)
+		corrupt func(*profile.Profile)
 	}{
-		{"branch not in binary", func(s *profile.Sample) { s.Branch = int32(len(art.Program.Instrs)) + 7 }},
-		{"not a direct branch", func(s *profile.Sample) { s.Branch = regular }},
-		{"block out of range", func(s *profile.Sample) { s.History[0].ToBlock = 1 << 30 }},
+		{"branch not in binary", func(p *profile.Profile) { p.Samples[victim].Branch = int32(len(art.Program.Instrs)) + 7 }},
+		{"not a direct branch", func(p *profile.Profile) { p.Samples[victim].Branch = regular }},
+		// The victim is the first sample with a window, so it is the
+		// first whose window holds this record; later windows share it.
+		{"block out of range", func(p *profile.Profile) { p.Window(victim)[0].ToBlock = 1 << 30 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -210,7 +212,7 @@ func TestBuildWithProfileRejectsMalformedProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(&prof.Samples[victim])
+			tc.corrupt(prof)
 			buf.Reset()
 			if err := prof.Save(&buf); err != nil {
 				t.Fatal(err)

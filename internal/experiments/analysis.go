@@ -23,9 +23,9 @@ func init() {
 			t := metrics.NewTable("block", "executions", "timely misses at A", "P(miss at A | block)")
 			// Recompute the table the paper shows from the profile.
 			counts := map[int32]int64{}
-			for _, s := range prof.Samples {
+			for i, s := range prof.Samples {
 				seen := map[int32]bool{}
-				for _, rec := range s.History {
+				for _, rec := range prof.Window(i) {
 					if s.MissCycle-rec.Cycle < fig13Config().PrefetchDistance {
 						continue
 					}
@@ -144,7 +144,7 @@ func fig13Scenario() (*program.Program, *profile.Profile, []namedBlock) {
 	prof.BlockExecs[4] = 3  // E
 	prof.BlockExecs[5] = 6
 
-	// Six misses at A; the history of each sample lists the predecessor
+	// Six misses at A; the window of each sample lists the predecessor
 	// blocks that can timely cover it (>= 20 cycles before the miss).
 	// Misses 1,4,5,6 are covered by B and C; misses 2,3 by D and E —
 	// matching the paper's counts (B:4, C:4, D:2, E:2).
@@ -153,15 +153,11 @@ func fig13Scenario() (*program.Program, *profile.Profile, []namedBlock) {
 	}
 	missCycle := 1000.0
 	add := func(blks ...int32) {
-		var hist []profile.Record
+		var window []profile.Record
 		for _, blk := range blks {
-			hist = append(hist, mkRec(blk, 25, missCycle))
+			window = append(window, mkRec(blk, 25, missCycle))
 		}
-		prof.Samples = append(prof.Samples, profile.Sample{
-			Branch:    p.Instrs[branchA].ID,
-			MissCycle: missCycle,
-			History:   hist,
-		})
+		prof.AddSample(p.Instrs[branchA].ID, missCycle, window)
 		missCycle += 100
 	}
 	add(1, 2) // miss 1: B, C

@@ -65,7 +65,7 @@ func TestExperimentLedgerDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, want := range []string{`"name":"exp:fig1"`, `"name":"measure"`, `"name":"warmup"`,
 		`"name":"scheme:baseline"`, `"name":"scheme:ideal"`, `"name":"stepcast.produce"`,
-		`"name":"queue.wait"`, `"cat":"group"`} {
+		`"name":"queue.wait"`, `"name":"deps.wait"`, `"cat":"group"`} {
 		if !bytes.Contains(j1, []byte(want)) {
 			t.Fatalf("ledger lacks %s:\n%s", want, j1)
 		}

@@ -10,12 +10,23 @@
 // updated on every taken branch, counts basic-block executions, and, on
 // each sampled BTB miss, snapshots the ring into a Sample.
 //
+// A profile stores each taken-branch record once. Profile.Log is one
+// append-only list of records in taken order, and a sample names its
+// LBR window as the last Len records before End. At each snapshot the
+// collector appends only the records taken since its previous
+// snapshot (at most LBRDepth), so the log's last ring-length records
+// always equal the ring, and consecutive samples share the records
+// their windows overlap in. Callers read a window with Profile.Window;
+// only this package knows the layout.
+//
 // Samples reference stable block IDs and stable branch IDs, so the
 // offline analysis (package twigopt) keeps working after the binary is
 // relinked with injected prefetches.
 package profile
 
 import (
+	"fmt"
+
 	"twig/internal/exec"
 	"twig/internal/pipeline"
 	"twig/internal/program"
@@ -34,20 +45,24 @@ type Record struct {
 	Cycle float64
 }
 
-// Sample is one BTB-miss profile sample: the missed branch and the LBR
-// contents at the miss.
+// Sample is one BTB-miss profile sample: the missed branch and where
+// the LBR contents at the miss lie in the profile's log.
 type Sample struct {
 	// Branch is the stable ID of the missed branch instruction.
 	Branch int32
 	// MissCycle is when the miss resteer was discovered.
 	MissCycle float64
-	// History holds the LBR records, most recent first. Fewer than
-	// LBRDepth entries appear near the start of execution.
-	History []Record
+	// End and Len place the sample's LBR window in Profile.Log: it is
+	// the Len records before index End. Len is below LBRDepth only near
+	// the start of execution. Read the window through Profile.Window.
+	End, Len int32
 }
 
 // Profile is the aggregate output of a profiling run.
 type Profile struct {
+	// Log holds the taken-branch records of every sample's window, in
+	// taken order, each stored once.
+	Log []Record
 	// Samples are the collected BTB-miss samples.
 	Samples []Sample
 	// BlockExecs counts executions of each basic block (indexed by
@@ -72,6 +87,9 @@ type Collector struct {
 	ring    [LBRDepth]Record
 	ringPos int
 	ringLen int
+	// fresh counts the records taken since the last snapshot, at most
+	// LBRDepth: the ring entries the log does not hold yet.
+	fresh int
 
 	missSeen int64
 	prof     *Profile
@@ -114,10 +132,16 @@ func (c *Collector) Taken(fromIdx, toIdx int32, cycle float64) {
 	if c.ringLen < LBRDepth {
 		c.ringLen++
 	}
+	if c.fresh < LBRDepth {
+		c.fresh++
+	}
 }
 
 // BTBMiss implements telemetry.Sink: it counts the miss and, every
-// sample-rate-th miss, snapshots the LBR ring into a Sample.
+// sample-rate-th miss, snapshots the LBR ring into a Sample. The
+// snapshot appends to the log only the ring entries taken since the
+// previous one, oldest first; the older part of the window is already
+// the log's tail.
 func (c *Collector) BTBMiss(_ int64, cycle float64, branchIdx int32, _ uint64, _ string) {
 	branchID := c.p.Instrs[branchIdx].ID
 	c.prof.MissCounts[branchID]++
@@ -125,15 +149,44 @@ func (c *Collector) BTBMiss(_ int64, cycle float64, branchIdx int32, _ uint64, _
 	if c.missSeen%int64(c.rate) != 0 {
 		return
 	}
-	hist := make([]Record, c.ringLen)
-	for i := 0; i < c.ringLen; i++ {
-		// Most recent first.
-		hist[i] = c.ring[(c.ringPos-1-i+LBRDepth)%LBRDepth]
+	log := c.prof.Log
+	for i := c.fresh; i > 0; i-- {
+		log = append(log, c.ring[(c.ringPos-i+LBRDepth)%LBRDepth])
 	}
+	c.prof.Log = log
+	c.fresh = 0
 	c.prof.Samples = append(c.prof.Samples, Sample{
 		Branch:    branchID,
 		MissCycle: cycle,
-		History:   hist,
+		End:       int32(len(log)),
+		Len:       int32(c.ringLen),
+	})
+}
+
+// Window returns sample i's LBR records, oldest first (taken order;
+// the hardware ring reads most recent first). The slice aliases the
+// log, which overlapping windows share, so a write through it changes
+// every window that holds the record.
+func (p *Profile) Window(i int) []Record {
+	s := &p.Samples[i]
+	return p.Log[s.End-s.Len : s.End]
+}
+
+// AddSample appends a sample whose LBR window is window, oldest record
+// first, copying the records to the end of the log. It builds profiles
+// by hand (worked examples, tests); the Collector shares the records
+// of overlapping windows instead. A window longer than LBRDepth
+// panics.
+func (p *Profile) AddSample(branch int32, missCycle float64, window []Record) {
+	if len(window) > LBRDepth {
+		panic(fmt.Sprintf("profile: window of %d records exceeds LBR depth", len(window)))
+	}
+	p.Log = append(p.Log, window...)
+	p.Samples = append(p.Samples, Sample{
+		Branch:    branch,
+		MissCycle: missCycle,
+		End:       int32(len(p.Log)),
+		Len:       int32(len(window)),
 	})
 }
 

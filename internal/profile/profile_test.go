@@ -103,16 +103,18 @@ func TestSamplingRate(t *testing.T) {
 func TestSampleHistoryShape(t *testing.T) {
 	p := loopProgram(t)
 	prof, _ := collect(t, p, 1, 30_000)
-	for _, s := range prof.Samples {
-		if len(s.History) > LBRDepth {
-			t.Fatalf("history longer than LBR depth: %d", len(s.History))
+	for i, s := range prof.Samples {
+		win := prof.Window(i)
+		if len(win) > LBRDepth {
+			t.Fatalf("history longer than LBR depth: %d", len(win))
 		}
-		// Most-recent-first: cycles must be non-increasing and at or
-		// before the miss.
+		// Taken order, so newest to oldest the cycles must be
+		// non-increasing and at or before the miss.
 		prev := s.MissCycle
-		for _, rec := range s.History {
+		for j := len(win) - 1; j >= 0; j-- {
+			rec := win[j]
 			if rec.Cycle > prev {
-				t.Fatal("history not most-recent-first")
+				t.Fatal("window not in taken order")
 			}
 			prev = rec.Cycle
 			if rec.FromBlock < 0 || int(rec.FromBlock) >= len(p.Blocks) {

@@ -12,52 +12,76 @@ import (
 // Profile serialization: in the paper's deployment, profiles are
 // collected on production machines (perf + LBR) and consumed later by
 // an offline optimizer at link time. Save/Load provide that decoupling
-// here: a compact, versioned binary format (varint-delta encoded) so
+// here: a compact, versioned binary format (varint encoded) so
 // profiles can be written once and analyzed under many configurations.
 //
-// Format (all varints unless noted):
+// Save writes TWIGPRF2 (all varints unless noted; float64s are their
+// IEEE-754 bits, little-endian, so a round trip is exact):
 //
-//	magic        "TWIGPRF1"
+//	magic        "TWIGPRF2"
 //	instructions uvarint
 //	blockExecs   uvarint count, then count uvarints
 //	missCounts   uvarint count, then count x (uvarint branchID-delta,
 //	             uvarint misses) sorted by branch ID
-//	samples      uvarint count, then per sample:
-//	             uvarint branchID, float64-bits missCycle,
-//	             uvarint histLen, histLen x (uvarint from, uvarint to,
-//	             float64-bits cycleDelta-from-miss)
+//	log          uvarint count, then per record: uvarint from,
+//	             uvarint to, float64 cycle
+//	samples      uvarint count, then per sample: uvarint branchID,
+//	             float64 missCycle, signed varint End minus the
+//	             previous sample's End (0 before the first), uvarint Len
+//
+// Load also reads TWIGPRF1, the format before the log, which
+// `twigprof -o` files and older cache entries use. Its header is the
+// same up to missCounts; then come the samples, each with its own copy
+// of the ring:
+//
+//	samples      uvarint count, then per sample: uvarint branchID,
+//	             float64 missCycle, uvarint histLen, then histLen x
+//	             (uvarint from, uvarint to, float64 missCycle-minus-
+//	             cycle), most recent first
+//
+// A TWIGPRF1 sample decodes into its own window at the end of the log,
+// with each record's cycle recomputed as missCycle minus the stored
+// delta.
 
-const profileMagic = "TWIGPRF1"
+const (
+	profileMagic   = "TWIGPRF2"
+	profileMagicV1 = "TWIGPRF1"
+)
 
-// Save writes the profile to w.
+// maxCount bounds every count a decoder accepts: a larger one is an
+// implausible (corrupt or hostile) profile, not a large one.
+const maxCount = 1 << 28
+
+// encoder writes varints and float bits, keeping the first error.
+type encoder struct {
+	w   *bufio.Writer
+	buf [binary.MaxVarintLen64]byte
+	err error
+}
+
+func (e *encoder) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+}
+
+func (e *encoder) uvarint(v uint64) { e.write(e.buf[:binary.PutUvarint(e.buf[:], v)]) }
+
+func (e *encoder) varint(v int64) { e.write(e.buf[:binary.PutVarint(e.buf[:], v)]) }
+
+func (e *encoder) float(f float64) {
+	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(f))
+	e.write(e.buf[:8])
+}
+
+// Save writes the profile to w in the TWIGPRF2 format.
 func (p *Profile) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(profileMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putF := func(f float64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		_, err := bw.Write(b[:])
-		return err
-	}
-
-	if err := put(uint64(p.Instructions)); err != nil {
-		return err
-	}
-	if err := put(uint64(len(p.BlockExecs))); err != nil {
-		return err
-	}
+	e := &encoder{w: bufio.NewWriter(w)}
+	e.write([]byte(profileMagic))
+	e.uvarint(uint64(p.Instructions))
+	e.uvarint(uint64(len(p.BlockExecs)))
 	for _, c := range p.BlockExecs {
-		if err := put(uint64(c)); err != nil {
-			return err
-		}
+		e.uvarint(uint64(c))
 	}
 
 	branches := make([]int32, 0, len(p.MissCounts))
@@ -65,159 +89,174 @@ func (p *Profile) Save(w io.Writer) error {
 		branches = append(branches, b)
 	}
 	sort.Slice(branches, func(i, j int) bool { return branches[i] < branches[j] })
-	if err := put(uint64(len(branches))); err != nil {
-		return err
-	}
+	e.uvarint(uint64(len(branches)))
 	prev := int32(0)
 	for _, b := range branches {
-		if err := put(uint64(b - prev)); err != nil {
-			return err
-		}
+		e.uvarint(uint64(b - prev))
 		prev = b
-		if err := put(uint64(p.MissCounts[b])); err != nil {
-			return err
-		}
+		e.uvarint(uint64(p.MissCounts[b]))
 	}
 
-	if err := put(uint64(len(p.Samples))); err != nil {
-		return err
+	e.uvarint(uint64(len(p.Log)))
+	for _, rec := range p.Log {
+		e.uvarint(uint64(rec.FromBlock))
+		e.uvarint(uint64(rec.ToBlock))
+		e.float(rec.Cycle)
 	}
-	for i := range p.Samples {
-		s := &p.Samples[i]
-		if err := put(uint64(s.Branch)); err != nil {
-			return err
-		}
-		if err := putF(s.MissCycle); err != nil {
-			return err
-		}
-		if err := put(uint64(len(s.History))); err != nil {
-			return err
-		}
-		for _, rec := range s.History {
-			if err := put(uint64(rec.FromBlock)); err != nil {
-				return err
-			}
-			if err := put(uint64(rec.ToBlock)); err != nil {
-				return err
-			}
-			if err := putF(s.MissCycle - rec.Cycle); err != nil {
-				return err
-			}
-		}
+	e.uvarint(uint64(len(p.Samples)))
+	prevEnd := int32(0)
+	for _, s := range p.Samples {
+		e.uvarint(uint64(s.Branch))
+		e.float(s.MissCycle)
+		e.varint(int64(s.End) - int64(prevEnd))
+		prevEnd = s.End
+		e.uvarint(uint64(s.Len))
 	}
-	return bw.Flush()
+	if e.err != nil {
+		return e.err
+	}
+	return e.w.Flush()
 }
 
-// Load reads a profile written by Save.
+// decoder reads varints and float bits, keeping the first error; after
+// an error every read returns zero.
+type decoder struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(d.r)
+	d.err = err
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadVarint(d.r)
+	d.err = err
+	return v
+}
+
+func (d *decoder) float() float64 {
+	if d.err != nil {
+		return 0
+	}
+	var b [8]byte
+	_, d.err = io.ReadFull(d.r, b[:])
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+}
+
+// count reads a count and rejects one above maxCount.
+func (d *decoder) count(what string) int {
+	n := d.uvarint()
+	if n > maxCount {
+		d.fail(fmt.Errorf("implausible %s count %d", what, n))
+	}
+	return int(n)
+}
+
+// fail records err unless an earlier error is pending.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// Load reads a profile written by Save, in either format.
 func Load(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
+	d := &decoder{r: bufio.NewReader(r)}
 	head := make([]byte, len(profileMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(d.r, head); err != nil {
 		return nil, fmt.Errorf("profile: reading magic: %w", err)
 	}
-	if string(head) != profileMagic {
+	v1 := string(head) == profileMagicV1
+	if !v1 && string(head) != profileMagic {
 		return nil, fmt.Errorf("profile: bad magic %q", head)
-	}
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getF := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 	}
 
 	p := &Profile{MissCounts: map[int32]int64{}}
-	v, err := get()
-	if err != nil {
-		return nil, err
+	p.Instructions = int64(d.uvarint())
+	// Slices grow as records arrive rather than from a count the input
+	// claims, so a short input cannot make the decoder allocate much.
+	n := d.count("block")
+	for i := 0; i < n && d.err == nil; i++ {
+		p.BlockExecs = append(p.BlockExecs, int64(d.uvarint()))
 	}
-	p.Instructions = int64(v)
-
-	nBlocks, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if nBlocks > 1<<28 {
-		return nil, fmt.Errorf("profile: implausible block count %d", nBlocks)
-	}
-	p.BlockExecs = make([]int64, nBlocks)
-	for i := range p.BlockExecs {
-		c, err := get()
-		if err != nil {
-			return nil, err
-		}
-		p.BlockExecs[i] = int64(c)
-	}
-
-	nMiss, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if nMiss > 1<<28 {
-		return nil, fmt.Errorf("profile: implausible miss-branch count %d", nMiss)
-	}
+	n = d.count("miss-branch")
 	prev := int32(0)
-	for i := uint64(0); i < nMiss; i++ {
-		d, err := get()
-		if err != nil {
-			return nil, err
-		}
-		branch := prev + int32(d)
+	for i := 0; i < n && d.err == nil; i++ {
+		branch := prev + int32(d.uvarint())
 		prev = branch
-		c, err := get()
-		if err != nil {
-			return nil, err
-		}
-		p.MissCounts[branch] = int64(c)
+		p.MissCounts[branch] = int64(d.uvarint())
 	}
-
-	nSamples, err := get()
-	if err != nil {
-		return nil, err
+	if v1 {
+		d.samplesV1(p)
+	} else {
+		d.logAndSamples(p)
 	}
-	if nSamples > 1<<28 {
-		return nil, fmt.Errorf("profile: implausible sample count %d", nSamples)
-	}
-	p.Samples = make([]Sample, 0, nSamples)
-	for i := uint64(0); i < nSamples; i++ {
-		var s Sample
-		b, err := get()
-		if err != nil {
-			return nil, err
-		}
-		s.Branch = int32(b)
-		if s.MissCycle, err = getF(); err != nil {
-			return nil, err
-		}
-		hl, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if hl > LBRDepth {
-			return nil, fmt.Errorf("profile: history length %d exceeds LBR depth", hl)
-		}
-		s.History = make([]Record, hl)
-		for j := range s.History {
-			f, err := get()
-			if err != nil {
-				return nil, err
-			}
-			to, err := get()
-			if err != nil {
-				return nil, err
-			}
-			delta, err := getF()
-			if err != nil {
-				return nil, err
-			}
-			s.History[j] = Record{
-				FromBlock: int32(f),
-				ToBlock:   int32(to),
-				Cycle:     s.MissCycle - delta,
-			}
-		}
-		p.Samples = append(p.Samples, s)
+	if d.err != nil {
+		return nil, fmt.Errorf("profile: %w", d.err)
 	}
 	return p, nil
+}
+
+// logAndSamples reads TWIGPRF2's log and samples and checks that every
+// window lies inside the log.
+func (d *decoder) logAndSamples(p *Profile) {
+	n := d.count("log record")
+	for i := 0; i < n && d.err == nil; i++ {
+		from, to := int32(d.uvarint()), int32(d.uvarint())
+		p.Log = append(p.Log, Record{FromBlock: from, ToBlock: to, Cycle: d.float()})
+	}
+	n = d.count("sample")
+	end := int64(0)
+	for i := 0; i < n && d.err == nil; i++ {
+		s := Sample{Branch: int32(d.uvarint()), MissCycle: d.float()}
+		end += d.varint()
+		length := d.uvarint()
+		switch {
+		case length > LBRDepth:
+			d.fail(fmt.Errorf("sample %d: window of %d records exceeds LBR depth", i, length))
+		case end < int64(length) || end > int64(len(p.Log)):
+			d.fail(fmt.Errorf("sample %d: window [%d-%d, %d) lies outside the %d-record log",
+				i, end, length, end, len(p.Log)))
+		}
+		s.End, s.Len = int32(end), int32(length)
+		p.Samples = append(p.Samples, s)
+	}
+}
+
+// samplesV1 reads TWIGPRF1's samples, appending each history to the log
+// as the sample's own window.
+func (d *decoder) samplesV1(p *Profile) {
+	n := d.count("sample")
+	for i := 0; i < n && d.err == nil; i++ {
+		s := Sample{Branch: int32(d.uvarint()), MissCycle: d.float()}
+		hl := d.uvarint()
+		switch {
+		case hl > LBRDepth:
+			d.fail(fmt.Errorf("sample %d: history length %d exceeds LBR depth", i, hl))
+		case len(p.Log)+int(hl) > math.MaxInt32:
+			d.fail(fmt.Errorf("sample %d: implausible log length", i))
+		}
+		if d.err != nil {
+			return
+		}
+		// The history is most recent first, so it fills the window,
+		// which is in taken order, from its end.
+		start := len(p.Log)
+		p.Log = append(p.Log, make([]Record, hl)...)
+		for j := len(p.Log) - 1; j >= start; j-- {
+			from, to := int32(d.uvarint()), int32(d.uvarint())
+			p.Log[j] = Record{FromBlock: from, ToBlock: to, Cycle: s.MissCycle - d.float()}
+		}
+		s.End, s.Len = int32(len(p.Log)), int32(hl)
+		p.Samples = append(p.Samples, s)
+	}
 }

@@ -159,7 +159,7 @@ func (r *Runner) GroupResult(ctx context.Context, members []Member, deps []*Job,
 // the worker pool (queue-wait and attempt spans land under the group
 // span), returning the per-member payload map.
 func (r *Runner) executeGroup(ctx context.Context, gj *Job, sp *telemetry.Span) (map[string]any, error) {
-	depVals, err := r.resolveDeps(ctx, gj)
+	depVals, err := r.resolveDeps(ctx, gj, sp)
 	if err != nil {
 		return nil, err
 	}

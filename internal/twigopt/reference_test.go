@@ -43,7 +43,7 @@ func referenceAnalyze(p *program.Program, prof *profile.Profile, cfg Config) (*A
 			timely[k]++
 			coverSets[k] = append(coverSets[k], ordinal)
 		}
-		for _, rec := range s.History {
+		for _, rec := range prof.Window(i) {
 			if s.MissCycle-rec.Cycle < cfg.PrefetchDistance {
 				// Too close to the miss to be timely; keep walking to
 				// older records.

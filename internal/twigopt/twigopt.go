@@ -388,26 +388,51 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 }
 
 // checkProfile reports a profile that does not fit p: a different
-// block count, or the first sample that names a branch or block p does
-// not have. A saved profile is outside input (profile.Load cannot check
-// it against a binary), and Analyze indexes dense arrays by these IDs.
+// block count, or the first sample that names a branch p does not have
+// or whose LBR window names a block p does not have. A saved profile is
+// outside input (profile.Load cannot check it against a binary), and
+// Analyze indexes dense arrays by these IDs. Each log record is checked
+// once, however many windows share it; only a bad one sends the check
+// back through the windows to name its sample.
 func checkProfile(p *program.Program, prof *profile.Profile) error {
-	if len(prof.BlockExecs) != len(p.Blocks) {
-		return fmt.Errorf("twigopt: profile has %d blocks, binary has %d", len(prof.BlockExecs), len(p.Blocks))
+	nBlocks := len(prof.BlockExecs)
+	if nBlocks != len(p.Blocks) {
+		return fmt.Errorf("twigopt: profile has %d blocks, binary has %d", nBlocks, len(p.Blocks))
+	}
+	badBlock := func(rec profile.Record) (int32, bool) {
+		for _, blk := range [2]int32{rec.FromBlock, rec.ToBlock} {
+			if blk < 0 || int(blk) >= nBlocks {
+				return blk, true
+			}
+		}
+		return 0, false
+	}
+	badLog := -1
+	for k, rec := range prof.Log {
+		if _, bad := badBlock(rec); bad {
+			badLog = k
+			break
+		}
 	}
 	for i := range prof.Samples {
 		s := &prof.Samples[i]
 		if idx := p.IndexOf(s.Branch); idx < 0 || !p.Instrs[idx].Kind.IsDirect() {
 			return fmt.Errorf("twigopt: sample %d names branch %d, which is not a direct branch of the binary", i, s.Branch)
 		}
-		for j, rec := range s.History {
-			for _, blk := range [2]int32{rec.FromBlock, rec.ToBlock} {
-				if blk < 0 || int(blk) >= len(prof.BlockExecs) {
-					return fmt.Errorf("twigopt: sample %d: history record %d names block %d, profile has %d blocks",
-						i, j, blk, len(prof.BlockExecs))
-				}
+		if badLog < 0 {
+			continue
+		}
+		for j, rec := range prof.Window(i) {
+			if blk, bad := badBlock(rec); bad {
+				return fmt.Errorf("twigopt: sample %d: LBR record %d names block %d, profile has %d blocks",
+					i, j, blk, nBlocks)
 			}
 		}
+	}
+	if badLog >= 0 {
+		blk, _ := badBlock(prof.Log[badLog])
+		return fmt.Errorf("twigopt: profile log record %d names block %d, profile has %d blocks",
+			badLog, blk, nBlocks)
 	}
 	return nil
 }
@@ -513,10 +538,12 @@ func (c *candidates) collect(prof *profile.Profile, samples []int32, dist float6
 	for ord, si := range samples {
 		s := &prof.Samples[si]
 		c.sample++
-		for _, rec := range s.History {
+		// The window is in taken order; a block counts once per sample
+		// and ties break by block ID, so the walk's order does not
+		// matter.
+		for _, rec := range prof.Window(int(si)) {
 			if s.MissCycle-rec.Cycle < dist {
-				// Too close to the miss to be timely; keep walking to
-				// older records.
+				// Too close to the miss to be timely.
 				continue
 			}
 			// Both endpoints of the taken branch are blocks that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -51,13 +52,11 @@ func paperExample(t *testing.T) (*program.Program, *profile.Profile, int32) {
 
 	missCycle := 1000.0
 	add := func(blks ...int32) {
-		var hist []profile.Record
+		var window []profile.Record
 		for _, blk := range blks {
-			hist = append(hist, profile.Record{FromBlock: blk, ToBlock: blk, Cycle: missCycle - 25})
+			window = append(window, profile.Record{FromBlock: blk, ToBlock: blk, Cycle: missCycle - 25})
 		}
-		prof.Samples = append(prof.Samples, profile.Sample{
-			Branch: branchA, MissCycle: missCycle, History: hist,
-		})
+		prof.AddSample(branchA, missCycle, window)
 		missCycle += 100
 	}
 	add(1, 2) // miss 1: B and C precede
@@ -242,11 +241,7 @@ func TestCoalesceGroupingWindows(t *testing.T) {
 		br := p.Instrs[p.Blocks[i].Last].ID
 		prof.MissCounts[br] = 5
 		for k := 0; k < 5; k++ {
-			prof.Samples = append(prof.Samples, profile.Sample{
-				Branch:    br,
-				MissCycle: missCycle,
-				History:   []profile.Record{{FromBlock: 0, ToBlock: 0, Cycle: missCycle - 30}},
-			})
+			prof.AddSample(br, missCycle, []profile.Record{{FromBlock: 0, ToBlock: 0, Cycle: missCycle - 30}})
 			missCycle += 50
 		}
 	}
@@ -355,11 +350,7 @@ func TestCoverageTargetCutsTail(t *testing.T) {
 	prof.BlockExecs[0] = 100
 	addSamples := func(br int32, n int) {
 		for k := 0; k < n; k++ {
-			prof.Samples = append(prof.Samples, profile.Sample{
-				Branch:    br,
-				MissCycle: float64(1000 + k*40),
-				History:   []profile.Record{{FromBlock: 0, ToBlock: 0, Cycle: float64(1000 + k*40 - 30)}},
-			})
+			prof.AddSample(br, float64(1000+k*40), []profile.Record{{FromBlock: 0, ToBlock: 0, Cycle: float64(1000 + k*40 - 30)}})
 		}
 	}
 	addSamples(hot, 98)
@@ -505,9 +496,7 @@ func randomCase(seed uint64) (*program.Program, *profile.Profile, error) {
 			}
 			hist = append(hist, rec)
 		}
-		prof.Samples = append(prof.Samples, profile.Sample{
-			Branch: br, MissCycle: missCycle, History: hist,
-		})
+		prof.AddSample(br, missCycle, hist)
 		missCycle += float64(10 + r.Intn(100))
 	}
 	for k := r.Intn(3); k > 0; k-- {
@@ -599,5 +588,39 @@ func TestReorderedBranchOffsets(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no placement landed in a moved block; the test checks nothing")
+	}
+}
+
+// TestCheckProfileNamesFirstWindowHolder corrupts one log record that
+// several collected windows share: the error names the first sample
+// whose window holds it, as when every sample had its own copy. A bad
+// record no window holds is still an error.
+func TestCheckProfileNamesFirstWindowHolder(t *testing.T) {
+	p, _, _ := paperExample(t)
+	branch := p.Blocks[5].Last // the jump at block A
+	c := profile.NewCollector(p, 1)
+	for s := 0; s < 3; s++ {
+		for k := 0; k < 4; k++ {
+			c.Taken(p.Blocks[1].Last, p.Blocks[2].First, float64(100*s+k))
+		}
+		c.BTBMiss(0, float64(100*s+50), branch, 0, "jump")
+	}
+	prof := c.Finish(1000)
+	if _, err := Analyze(p, prof, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	// Sample 1's newest record was taken after sample 0's snapshot,
+	// and sample 2's window holds it too.
+	win := prof.Window(1)
+	win[len(win)-1].ToBlock = 1 << 30
+	if _, err := Analyze(p, prof, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "sample 1:") {
+		t.Fatalf("error %v does not name sample 1", err)
+	}
+
+	orphan := &profile.Profile{BlockExecs: make([]int64, len(p.Blocks)), MissCounts: map[int32]int64{}}
+	orphan.AddSample(p.Instrs[branch].ID, 50, []profile.Record{{FromBlock: -1, ToBlock: 0, Cycle: 1}})
+	orphan.Samples = nil
+	if _, err := Analyze(p, orphan, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "log record 0") {
+		t.Fatalf("error %v does not name the orphaned log record", err)
 	}
 }
