@@ -15,8 +15,6 @@
 // the ordinal), so speedup comparisons isolate the BTB effect.
 package bpu
 
-import "twig/internal/isa"
-
 // DirectionPredictor decides conditional mispredicts deterministically.
 type DirectionPredictor struct {
 	// rate is the mispredict probability threshold scaled to 2^64.
@@ -177,7 +175,3 @@ func (ib *IBTB) Predict(pc, actual uint64) bool {
 	ib.Mispredicts++
 	return false
 }
-
-// KindUsesRAS reports whether predictions for the kind come from the
-// return address stack.
-func KindUsesRAS(k isa.Kind) bool { return k == isa.KindReturn }

@@ -344,18 +344,6 @@ func (h *Hierarchy) regionFor(base uint64) int32 {
 	return int32(victim)
 }
 
-// LastLevelLen counts live last-level entries (test/diagnostic helper;
-// O(entries)).
-func (h *Hierarchy) LastLevelLen() int {
-	n := 0
-	for e := range h.llRegion {
-		if h.llLive(e) {
-			n++
-		}
-	}
-	return n
-}
-
 // PublishTo registers the per-level traffic counters as live gauges
 // (prefix_l1_hits, prefix_promotions, ...).
 func (h *Hierarchy) PublishTo(reg *telemetry.Registry, prefix string) {

@@ -11,10 +11,9 @@ import (
 	"twig/internal/workload"
 )
 
-// Sampled and checkpointed evaluation through the job graph: sampled
-// estimates and simulator checkpoints are content-addressed cache
-// entries exactly like exact results, so a warm cache replays them
-// without simulating.
+// Sampled evaluation through the job graph: sampled estimates are
+// content-addressed cache entries exactly like exact results, so a
+// warm cache replays them without simulating.
 
 // sampleSpec returns the context's sampling spec, defaulting — when
 // Opts.Sample is unset — to a spec sized to the context's window: 20
@@ -59,18 +58,6 @@ func (c *Context) Sampled(app workload.App, input int, scheme string) (*sampling
 		}
 		return est, err
 	})
-}
-
-// Checkpoint returns (computing and caching on first use) a serialized
-// simulator checkpoint of one named scheme at instruction position
-// `at` (runner.Runner.Checkpoint). Restore it with
-// core.Artifacts.ResumeScheme under the same options.
-func (c *Context) Checkpoint(app workload.App, input int, scheme string, at int64) ([]byte, error) {
-	data, err := c.run.Checkpoint(c.ctx, c.art(app, 0), scheme, app, input, at, c.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: checkpoint %s %s/%d@%d: %w", scheme, app, input, at, err)
-	}
-	return data, nil
 }
 
 // The "sampled" experiment validates interval sampling against the

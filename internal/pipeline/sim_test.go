@@ -266,12 +266,12 @@ func TestFastForwardAdvancesState(t *testing.T) {
 }
 
 // TestCheckpointFingerprintGolden pins the configuration fingerprint
-// every checkpoint carries. Cached checkpoints are addressed by
-// runner.HashCheckpoint, whose key does not include this fingerprint,
-// so a change that moved it silently (say, by reshaping Config) would
-// leave warm-store keys valid while ResumeSim rejected every checkpoint
-// behind them. The constant was generated before the observer channels
-// were merged into one sink.
+// every checkpoint carries. Checkpoints outlive the process that took
+// them (System.Checkpoint callers keep the bytes), so a change that
+// moved the fingerprint silently (say, by reshaping Config) would make
+// ResumeSim reject every checkpoint taken before it under an unchanged
+// configuration. The constant was generated before the observer
+// channels were merged into one sink.
 func TestCheckpointFingerprintGolden(t *testing.T) {
 	p := simpleProgram(t)
 	src, err := exec.New(p, exec.Input{Seed: 1})

@@ -7,10 +7,10 @@ import "twig/internal/isa"
 // btb.BTB: a "filled by prefetch, not yet used" flag for accuracy
 // accounting, and (for Shotgun's U-BTB) an 8-bit spatial footprint.
 //
-// Unlike btb.Config it permits non-power-of-two entry counts as long as
-// entries/ways is a power of two, which is how Shotgun's published
-// 5120-entry U-BTB (5-way × 1024 sets) and 1536-entry C-BTB (6-way ×
-// 256 sets) are realized here.
+// Like btb.Config it requires only a power-of-two set count, so the
+// entry count need not be a power of two: that is how Shotgun's
+// published 5120-entry U-BTB (5-way × 1024 sets) and 1536-entry C-BTB
+// (6-way × 256 sets) are realized here.
 type assoc struct {
 	setMask   uint64
 	ways      int
@@ -70,23 +70,8 @@ func (a *assoc) probe(pc uint64) int {
 	return -1
 }
 
-// evicted describes an entry displaced by insert.
-type evicted struct {
-	pc, target uint64
-	kind       isa.Kind
-	valid      bool
-}
-
-// insert fills (or refreshes) an entry and returns its slot. The
-// displaced entry, if any, is available through insertEvict.
+// insert fills (or refreshes) an entry and returns its slot.
 func (a *assoc) insert(pc, target uint64, kind isa.Kind, prefetched bool) int {
-	slot, _ := a.insertEvict(pc, target, kind, prefetched)
-	return slot
-}
-
-// insertEvict is insert plus the victim's prior contents, for schemes
-// that virtualize evicted entries (Phantom-BTB).
-func (a *assoc) insertEvict(pc, target uint64, kind isa.Kind, prefetched bool) (int, evicted) {
 	base := int(pc&a.setMask) * a.ways
 	victim := base
 	for w := 0; w < a.ways; w++ {
@@ -101,7 +86,7 @@ func (a *assoc) insertEvict(pc, target uint64, kind isa.Kind, prefetched bool) (
 			}
 			a.clock++
 			a.stamp[victim] = a.clock
-			return victim, evicted{}
+			return victim
 		}
 		if a.pcs[base+w] == assocInvalid {
 			victim = base + w
@@ -111,10 +96,6 @@ func (a *assoc) insertEvict(pc, target uint64, kind isa.Kind, prefetched bool) (
 			victim = base + w
 		}
 	}
-	var ev evicted
-	if a.pcs[victim] != assocInvalid {
-		ev = evicted{pc: a.pcs[victim], target: a.targets[victim], kind: a.kinds[victim], valid: true}
-	}
 	a.clock++
 	a.pcs[victim] = pc
 	a.targets[victim] = target
@@ -122,5 +103,5 @@ func (a *assoc) insertEvict(pc, target uint64, kind isa.Kind, prefetched bool) (
 	a.footprint[victim] = 0
 	a.pref[victim] = prefetched
 	a.stamp[victim] = a.clock
-	return victim, ev
+	return victim
 }

@@ -85,10 +85,6 @@ func (s *Hierarchy) Stats() *btb.Stats { return &s.stats }
 // PrefetchStats implements Scheme; the hierarchy never prefetches.
 func (s *Hierarchy) PrefetchStats() PrefetchStats { return PrefetchStats{} }
 
-// Levels exposes the underlying two-level structure (per-level
-// counters, property tests).
-func (s *Hierarchy) Levels() *btb.Hierarchy { return s.h }
-
 // PublishTo publishes the per-level traffic counters (picked up by
 // Register via the optional publisher interface).
 func (s *Hierarchy) PublishTo(reg *telemetry.Registry) {

@@ -166,17 +166,6 @@ func (blk *BlockBuilder) IndirectCall(setIdx int32, dispatch bool) {
 	})
 }
 
-// IndirectJump appends an indirect jump through target set setIdx.
-// Unlike an indirect call it pushes no return address, so the workload
-// generator uses it only for intra-function switch-style dispatch where
-// every target eventually rejoins the function's control flow.
-func (blk *BlockBuilder) IndirectJump(setIdx int32) {
-	blk.instrs = append(blk.instrs, buildInstr{
-		kind: isa.KindIndirectJump, size: isa.SizeIndirect,
-		targetFn: -1, targetBlock: -1, indirectSet: setIdx,
-	})
-}
-
 // Return appends a return instruction.
 func (blk *BlockBuilder) Return() {
 	blk.instrs = append(blk.instrs, buildInstr{

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"twig/internal/checkpoint"
 	"twig/internal/pipeline"
 	"twig/internal/profile"
 )
@@ -83,33 +82,6 @@ func (ProfileCodec) Encode(v any) ([]byte, error) {
 // Decode implements Codec.
 func (ProfileCodec) Decode(data []byte) (any, error) {
 	return profile.Load(bytes.NewReader(data))
-}
-
-// CheckpointCodec stores serialized simulator checkpoints. The payload
-// is already a self-validating versioned envelope (magic, version,
-// length, CRC — see internal/checkpoint), so Encode passes the bytes
-// through and Decode re-validates the envelope: corrupt cache entries
-// surface as decode errors here, before any resume is attempted.
-type CheckpointCodec struct{}
-
-// Name implements Codec.
-func (CheckpointCodec) Name() string { return "checkpoint" }
-
-// Encode implements Codec.
-func (CheckpointCodec) Encode(v any) ([]byte, error) {
-	b, ok := v.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("runner: checkpoint codec: got %T", v)
-	}
-	return b, nil
-}
-
-// Decode implements Codec.
-func (CheckpointCodec) Decode(data []byte) (any, error) {
-	if _, err := checkpoint.Open(data); err != nil {
-		return nil, fmt.Errorf("runner: checkpoint codec: %w", err)
-	}
-	return data, nil
 }
 
 // JSONCodec serializes any JSON-representable derived payload (the 3C

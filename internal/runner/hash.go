@@ -99,10 +99,3 @@ func HashDerived(key string, opts core.Options) string {
 func HashSampled(key string, opts core.Options) string {
 	return hash("v1", SimVersion, "sampled", key, CanonicalOptions(opts))
 }
-
-// HashCheckpoint returns the content hash of a simulator checkpoint
-// taken at the given instruction position.
-func HashCheckpoint(key string, at int64, opts core.Options) string {
-	return hash("v1", SimVersion, "checkpoint",
-		fmt.Sprintf("%s@%d", key, at), CanonicalOptions(opts))
-}

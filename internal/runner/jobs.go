@@ -99,55 +99,6 @@ func SchemeMember(scheme string, app workload.App, input int, opts core.Options)
 	return SimMember(key, opts), nil
 }
 
-// CheckpointMember returns the identity of a checkpoint of one named
-// scheme's run of (app, input) at instruction position `at`: ID
-// "ckpt/<SchemeMemoKey>@<at>", KindCheckpoint, CheckpointCodec, and the
-// HashCheckpoint content hash unless the options carry observable
-// telemetry (Cacheable). A dependent resume fetches the checkpoint by
-// this hash.
-func CheckpointMember(scheme string, app workload.App, input int, at int64, opts core.Options) (Member, error) {
-	memo, err := SchemeMemoKey(scheme, app, input)
-	if err != nil {
-		return Member{}, err
-	}
-	key := "ckpt/" + memo
-	h := ""
-	if Cacheable(opts) {
-		h = HashCheckpoint(key, at, opts)
-	}
-	return Member{ID: fmt.Sprintf("%s@%d", key, at), Kind: KindCheckpoint, Hash: h, Codec: CheckpointCodec{}}, nil
-}
-
-// Checkpoint resolves the checkpoint CheckpointMember names as a job
-// over the artifacts job art and returns its raw self-validating
-// envelope; restore it with core.Artifacts.ResumeScheme under the same
-// options. An executed checkpoint credits the `at` instructions it
-// simulated to AddSimInstructions.
-func (r *Runner) Checkpoint(ctx context.Context, art *Job, scheme string, app workload.App, input int, at int64, opts core.Options) ([]byte, error) {
-	m, err := CheckpointMember(scheme, app, input, at, opts)
-	if err != nil {
-		return nil, err
-	}
-	v, err := r.Result(ctx, &Job{
-		ID:    m.ID,
-		Kind:  m.Kind,
-		Hash:  m.Hash,
-		Codec: m.Codec,
-		Deps:  []*Job{art},
-		Run: func(_ context.Context, deps []any) (any, error) {
-			data, err := deps[0].(*core.Artifacts).CheckpointScheme(scheme, input, opts, at)
-			if err == nil {
-				r.AddSimInstructions(at)
-			}
-			return data, err
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]byte), nil
-}
-
 // Schemes resolves the named schemes' runs of (app, input) under opts,
 // keyed by scheme name, as one group over the artifacts job art
 // (GroupResult). Each member has its SchemeMember identity, so members

@@ -69,14 +69,6 @@ func TestSchemesSharesSoloIdentity(t *testing.T) {
 		t.Error("Runner.Schemes results differ from core.RunSchemes")
 	}
 
-	// A checkpoint is addressed by the key fleet specs wait for.
-	ck, err := CheckpointMember("baseline", app, 0, 15_000, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.ID != "ckpt/base/verilator/0@15000" || ck.Hash != HashCheckpoint("ckpt/base/verilator/0", 15_000, opts) {
-		t.Errorf("CheckpointMember = %+v", ck)
-	}
 	if _, err := SchemeMember("warp-drive", app, 0, opts); err == nil {
 		t.Error("SchemeMember accepted an unknown scheme")
 	}

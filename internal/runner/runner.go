@@ -17,9 +17,9 @@
 // It has three clients: the experiment harness (internal/experiments),
 // the twig facade's RunMatrix, and twigd fleet workers. All three run
 // a cached scheme the same way — a job listing its ArtifactsJob in Deps,
-// with its identity from SchemeMember or CheckpointMember, resolved
-// through Runner.Schemes or Runner.Checkpoint — so their memo entries
-// and cache envelopes interoperate. See DESIGN.md for the job model.
+// with its identity from SchemeMember, resolved through Runner.Schemes
+// — so their memo entries and cache envelopes interoperate. See
+// DESIGN.md for the job model.
 package runner
 
 import (
@@ -51,9 +51,6 @@ const (
 	// sampling.Estimate. It counts toward the simulation telemetry
 	// bucket: a sampled run stands in for an exact one.
 	KindSampled
-	// KindCheckpoint is a job whose payload is a serialized simulator
-	// checkpoint (raw checkpoint envelope bytes).
-	KindCheckpoint
 )
 
 // String implements fmt.Stringer.
@@ -67,8 +64,6 @@ func (k Kind) String() string {
 		return "derived"
 	case KindSampled:
 		return "sampled"
-	case KindCheckpoint:
-		return "checkpoint"
 	default:
 		return "other"
 	}

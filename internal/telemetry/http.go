@@ -175,6 +175,3 @@ func appendSeriesJSON(buf []byte, s *Series) []byte {
 	buf = append(buf, "]}\n"...)
 	return buf
 }
-
-// SeriesJSON renders the series as JSON (the /series payload).
-func SeriesJSON(s *Series) []byte { return appendSeriesJSON(nil, s) }

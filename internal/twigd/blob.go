@@ -23,9 +23,6 @@ type BlobStore interface {
 	// wins, which is safe because envelopes are pure functions of
 	// their hash.
 	Put(hash string, data []byte) error
-	// Has reports whether a blob exists (cheaper than Get for WaitFor
-	// gating).
-	Has(hash string) bool
 	// Stats returns the store's counters.
 	Stats() BlobStats
 }
@@ -98,14 +95,6 @@ func (b *MemBlobs) Put(hash string, data []byte) error {
 	b.m[hash] = cp
 	b.mu.Unlock()
 	return nil
-}
-
-// Has implements BlobStore.
-func (b *MemBlobs) Has(hash string) bool {
-	b.mu.RLock()
-	_, ok := b.m[hash]
-	b.mu.RUnlock()
-	return ok
 }
 
 // Stats implements BlobStore.
@@ -211,15 +200,6 @@ func (b *DirBlobs) Put(hash string, data []byte) error {
 		b.c.bytes.Add(int64(len(data)))
 	}
 	return nil
-}
-
-// Has implements BlobStore.
-func (b *DirBlobs) Has(hash string) bool {
-	if !ValidHash(hash) {
-		return false
-	}
-	_, err := os.Stat(b.path(hash))
-	return err == nil
 }
 
 // Stats implements BlobStore.

@@ -162,22 +162,6 @@ func (c *Client) Status() (StatusResponse, error) {
 	return resp, err
 }
 
-// Jobs returns per-job states.
-func (c *Client) Jobs() (JobsResponse, error) {
-	var resp JobsResponse
-	err := c.get("/v1/jobs", &resp)
-	return resp, err
-}
-
-// Fleet returns the dashboard document.
-func (c *Client) Fleet() (*FleetStatus, error) {
-	var resp FleetStatus
-	if err := c.get("/debug/fleet", &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Blobs adapts the coordinator's /blob endpoint to the runner's
 // RemoteCache interface: attach it with Cache.SetRemote and the
 // coordinator's store becomes the cache's third tier. Transfers carry

@@ -19,8 +19,8 @@ import (
 // times the heartbeat interval survive.
 const DefaultLeaseTTL = 15 * time.Second
 
-// maxBlobBytes bounds one blob upload (a serialized checkpoint of a
-// large window is megabytes; a result envelope is kilobytes).
+// maxBlobBytes bounds one blob upload (a training profile of a large
+// window is megabytes; a result envelope is kilobytes).
 const maxBlobBytes = 1 << 30
 
 // workerInfo is the coordinator's view of one registered worker.
@@ -39,7 +39,6 @@ type workerInfo struct {
 type Server struct {
 	queue *Queue
 	blobs BlobStore
-	clock func() time.Time
 
 	mu      sync.Mutex
 	workers map[string]*workerInfo
@@ -52,9 +51,8 @@ func NewServer(blobs BlobStore, leaseTTL time.Duration) *Server {
 		leaseTTL = DefaultLeaseTTL
 	}
 	return &Server{
-		queue:   NewQueue(leaseTTL, 0, blobs.Has),
+		queue:   NewQueue(leaseTTL, 0),
 		blobs:   blobs,
-		clock:   time.Now,
 		workers: make(map[string]*workerInfo),
 	}
 }
@@ -65,14 +63,11 @@ func (s *Server) Queue() *Queue { return s.queue }
 // Blobs exposes the server's blob store.
 func (s *Server) Blobs() BlobStore { return s.blobs }
 
-// SetClock replaces the server's time source (tests).
-func (s *Server) SetClock(clock func() time.Time) { s.clock = clock }
-
 // ExpireNow runs one lease-expiry sweep immediately and returns how
 // many leases were reassigned. The background sweeper calls this every
 // TTL/2; tests call it directly.
 func (s *Server) ExpireNow() int {
-	expired := s.queue.ExpireLeases(s.clock())
+	expired := s.queue.ExpireLeases(time.Now())
 	if len(expired) == 0 {
 		return 0
 	}
@@ -152,7 +147,7 @@ func (s *Server) touch(name string) *workerInfo {
 		w = &workerInfo{name: name, slots: 1}
 		s.workers[name] = w
 	}
-	w.lastSeen = s.clock()
+	w.lastSeen = time.Now()
 	return w
 }
 
@@ -184,7 +179,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ExpireNow() // reassign lost leases before answering "nothing to do"
-	job := s.queue.Claim(req.Worker, s.clock())
+	job := s.queue.Claim(req.Worker, time.Now())
 	s.mu.Lock()
 	info := s.touch(req.Worker)
 	if job != nil {
@@ -199,7 +194,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	ok := s.queue.Heartbeat(req.Worker, req.Job, s.clock())
+	ok := s.queue.Heartbeat(req.Worker, req.Job, time.Now())
 	s.mu.Lock()
 	info := s.touch(req.Worker)
 	if req.Instructions > info.instructions {
@@ -242,14 +237,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	ids := make([]string, len(req.Jobs))
-	for i := range req.Jobs {
-		id, err := s.queue.Submit(req.Jobs[i])
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "submit: "+err.Error())
-			return
-		}
-		ids[i] = id
+	ids, err := s.queue.Submit(req.Jobs...)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "submit: "+err.Error())
+		return
 	}
 	writeJSON(w, SubmitResponse{IDs: ids})
 }
@@ -257,7 +248,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.ExpireNow()
 	alive := 0
-	now := s.clock()
+	now := time.Now()
 	s.mu.Lock()
 	for _, info := range s.workers {
 		if now.Sub(info.lastSeen) <= s.aliveWindow() {
@@ -274,7 +265,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	s.ExpireNow()
-	now := s.clock()
+	now := time.Now()
 	s.mu.Lock()
 	workers := make([]WorkerStatus, 0, len(s.workers))
 	for _, info := range s.workers {
@@ -334,9 +325,13 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readJSON decodes one request body, answering 400 on malformed input.
+// readJSON decodes one request body, answering 400 on malformed input
+// and on fields the request type does not know: a request written for
+// another protocol version is refused, not half-understood.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return false
 	}

@@ -3,8 +3,11 @@ package twigd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -93,8 +96,8 @@ func TestFleetDrainsMatrixToSharedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		hash := runner.HashSim(memo, opts)
-		if !blobs.Has(hash) {
-			t.Fatalf("store lacks %s result %s", scheme, hash[:12])
+		if _, err := blobs.Get(hash); err != nil {
+			t.Fatalf("store lacks %s result %s: %v", scheme, hash[:12], err)
 		}
 		if _, ok := cache.Get(hash, runner.ResultCodec{}); !ok {
 			t.Fatalf("%s result did not replay through the remote tier", scheme)
@@ -164,12 +167,8 @@ func TestLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	jobs, err := client.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs.Jobs) != 1 || jobs.Jobs[0].Requeues < 1 {
-		t.Fatalf("jobs = %+v, want the job requeued at least once", jobs.Jobs)
+	if jobs := srv.Queue().Jobs(); len(jobs) != 1 || jobs[0].Requeues < 1 {
+		t.Fatalf("jobs = %+v, want the job requeued at least once", jobs)
 	}
 	// The ghost's completion arrives after reassignment: dropped.
 	ok, err := client.Complete(CompleteRequest{Worker: "ghost", Job: ids[0], OK: true})
@@ -178,53 +177,6 @@ func TestLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("late completion from the expired ghost was accepted")
-	}
-}
-
-// TestSplitSpecsBitIdentical runs one scheme split parallel-in-time
-// (checkpoint + resume) on one fleet and unsplit on another, and
-// demands the published result blobs be byte-identical: splitting must
-// be invisible to every downstream consumer of the cache entry.
-func TestSplitSpecsBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates several windows")
-	}
-	cfg := SimConfig{Instructions: 60_000}
-	const scheme = "twig"
-	opts := cfg.Options()
-	memo, err := runner.SchemeMemoKey(scheme, workload.Verilator, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := runner.HashSim(memo, opts)
-
-	split, err := SplitSpecs(cfg, workload.Verilator, scheme, 0, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobsA := NewMemBlobs()
-	fa := startFleet(t, blobsA, 5*time.Second, 1)
-	drain(t, fa.client, split)
-	if !blobsA.Has(runner.HashCheckpoint("ckpt/"+memo, 30_000, opts)) {
-		t.Fatal("checkpoint blob missing after split run")
-	}
-	fromSplit, err := blobsA.Get(hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	blobsB := NewMemBlobs()
-	fb := startFleet(t, blobsB, 5*time.Second, 1)
-	drain(t, fb.client, []JobSpec{{
-		Type: JobSchemes, App: workload.Verilator, Schemes: []string{scheme}, Config: cfg,
-	}})
-	fromWhole, err := blobsB.Get(hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromSplit, fromWhole) {
-		t.Fatalf("split result (%d bytes) differs from unsplit result (%d bytes)",
-			len(fromSplit), len(fromWhole))
 	}
 }
 
@@ -269,6 +221,44 @@ func TestCorruptRemoteBlobReexecutedOverHTTP(t *testing.T) {
 	cache.SetRemote(f.client.Blobs(), runner.Backoff{}, 0)
 	if _, ok := cache.Get(hash, runner.ResultCodec{}); !ok {
 		t.Fatal("repaired blob does not decode through the remote tier")
+	}
+}
+
+// TestSubmitIsAllOrNothing pins /v1/submit over HTTP: a batch with an
+// invalid spec is answered 400 and queues none of its valid specs, and
+// a spec in the retired checkpoint shape (type, scheme, at, wait_for)
+// is refused by name instead of running as some other job.
+func TestSubmitIsAllOrNothing(t *testing.T) {
+	f := startFleet(t, NewMemBlobs(), time.Second, 0)
+	valid := MatrixSpecs(SimConfig{Instructions: 50_000},
+		[]workload.App{workload.Verilator}, []string{"baseline"}, nil)[0]
+	bad := valid
+	bad.Schemes = []string{"warp-drive"}
+	batch, err := json.Marshal(SubmitRequest{Jobs: []JobSpec{valid, bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"valid then invalid", string(batch), "warp-drive"},
+		{"checkpoint-shaped", `{"jobs":[{"type":"checkpoint","app":"verilator","scheme":"twig",` +
+			`"at":30000,"wait_for":[],"config":{"instructions":60000}}]}`, "unknown field"},
+	} {
+		resp, err := http.Post(f.client.Base+"/v1/submit", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: %s %q, want 400 naming %q", tc.name, resp.Status, msg, tc.want)
+		}
+		st, err := f.client.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Queue != (QueueCounts{}) {
+			t.Errorf("%s: queue = %+v after a rejected submit, want all zero", tc.name, st.Queue)
+		}
 	}
 }
 

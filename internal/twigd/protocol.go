@@ -127,47 +127,23 @@ func (c SimConfig) fingerprint() string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// Job types. A "schemes" job simulates named schemes for one
-// (app, input) over a shared broadcast stream; a "profile" job warms
-// the build→profile→optimize artifact chain; a "checkpoint" job
-// simulates the first At instructions of one scheme and publishes the
-// serialized simulator state; a "resume" job restores that state
-// (gated on its blob via WaitFor) and publishes the final result —
-// bit-identical to an uninterrupted run, which is what lets one long
-// stream split across the fleet parallel-in-time.
-const (
-	JobSchemes    = "schemes"
-	JobProfile    = "profile"
-	JobCheckpoint = "checkpoint"
-	JobResume     = "resume"
-)
-
-// JobSpec is one unit of fleet work, self-contained: a worker needs
+// JobSpec is one unit of fleet work: the named schemes of one
+// (app, input) point, simulated in one shared-stream pass over the
+// artifacts trained on input 0 — exactly how the local RunMatrix and
+// the experiments group them. It is self-contained: a worker needs
 // nothing but the spec (and the shared blob store) to execute it.
 type JobSpec struct {
 	// ID names the job in the coordinator's queue. Leave empty on
 	// submission: the coordinator assigns the canonical Key(), which
 	// makes resubmission of the same spec idempotent.
 	ID string `json:"id,omitempty"`
-	// Type is one of the Job* constants.
-	Type string `json:"type"`
-	// App is the application; Train the profile training input
-	// (conventionally 0); Input the evaluation input.
+	// App is the application; Input the evaluation input.
 	App   workload.App `json:"app"`
-	Train int          `json:"train,omitempty"`
 	Input int          `json:"input,omitempty"`
-	// Schemes names the schemes of a "schemes" job (core.SchemeNames).
+	// Schemes names the schemes to simulate (core.SchemeNames).
 	Schemes []string `json:"schemes,omitempty"`
-	// Scheme names the single scheme of a checkpoint/resume job.
-	Scheme string `json:"scheme,omitempty"`
-	// At is the checkpoint position in instructions from run start.
-	At int64 `json:"at,omitempty"`
 	// Config is the operating point.
 	Config SimConfig `json:"config"`
-	// WaitFor lists blob hashes that must exist in the shared store
-	// before the job becomes claimable — how a resume job waits for
-	// its checkpoint without holding a worker.
-	WaitFor []string `json:"wait_for,omitempty"`
 }
 
 // Validate checks the spec is well-formed and executable.
@@ -175,81 +151,25 @@ func (s *JobSpec) Validate() error {
 	if !validApp(s.App) {
 		return fmt.Errorf("twigd: unknown app %q", s.App)
 	}
-	switch s.Type {
-	case JobSchemes:
-		if len(s.Schemes) == 0 {
-			return fmt.Errorf("twigd: schemes job without schemes")
-		}
-		for _, sc := range s.Schemes {
-			if _, err := runner.SchemeMemoKey(sc, s.App, s.Input); err != nil {
-				return err
-			}
-		}
-	case JobProfile:
-	case JobCheckpoint, JobResume:
-		if _, err := runner.SchemeMemoKey(s.Scheme, s.App, s.Input); err != nil {
+	if len(s.Schemes) == 0 {
+		return fmt.Errorf("twigd: job without schemes")
+	}
+	for _, sc := range s.Schemes {
+		if _, err := runner.SchemeMemoKey(sc, s.App, s.Input); err != nil {
 			return err
 		}
-		if s.At <= 0 {
-			return fmt.Errorf("twigd: %s job needs a positive checkpoint position", s.Type)
-		}
-	default:
-		return fmt.Errorf("twigd: unknown job type %q", s.Type)
 	}
 	return nil
 }
 
-// Key returns the spec's canonical queue ID: type, workload point and
-// a configuration fingerprint, so identical specs — from any client —
-// dedupe to one queue entry and differing configurations never merge.
+// Key returns the spec's canonical queue ID: workload point, sorted
+// scheme set and a configuration fingerprint, so identical specs —
+// from any client — dedupe to one queue entry and differing
+// configurations never merge.
 func (s *JobSpec) Key() string {
-	detail := ""
-	switch s.Type {
-	case JobSchemes:
-		names := append([]string(nil), s.Schemes...)
-		sort.Strings(names)
-		detail = strings.Join(names, "+")
-	case JobCheckpoint, JobResume:
-		detail = fmt.Sprintf("%s@%d", s.Scheme, s.At)
-	}
-	return fmt.Sprintf("%s/%s/%d/%s/%s", s.Type, s.App, s.Input, detail, s.Config.fingerprint())
-}
-
-// ResultHashes returns the content hashes of the cache entries the job
-// publishes on success — what a submitter probes to know the fleet's
-// output is available, and what a dependent job's WaitFor names.
-func (s *JobSpec) ResultHashes() ([]string, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	opts := s.Config.Options()
-	switch s.Type {
-	case JobSchemes:
-		hashes := make([]string, len(s.Schemes))
-		for i, sc := range s.Schemes {
-			m, err := runner.SchemeMember(sc, s.App, s.Input, opts)
-			if err != nil {
-				return nil, err
-			}
-			hashes[i] = m.Hash
-		}
-		return hashes, nil
-	case JobProfile:
-		return []string{runner.HashProfile(s.App, s.Train, opts)}, nil
-	case JobCheckpoint:
-		m, err := runner.CheckpointMember(s.Scheme, s.App, s.Input, s.At, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []string{m.Hash}, nil
-	case JobResume:
-		m, err := runner.SchemeMember(s.Scheme, s.App, s.Input, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []string{m.Hash}, nil
-	}
-	return nil, fmt.Errorf("twigd: unknown job type %q", s.Type)
+	names := append([]string(nil), s.Schemes...)
+	sort.Strings(names)
+	return fmt.Sprintf("%s/%d/%s/%s", s.App, s.Input, strings.Join(names, "+"), s.Config.fingerprint())
 }
 
 func validApp(app workload.App) bool {
@@ -353,7 +273,6 @@ type StatusResponse struct {
 // JobStatus is one queue entry's externally visible state.
 type JobStatus struct {
 	ID       string `json:"id"`
-	Type     string `json:"type"`
 	App      string `json:"app"`
 	Input    int    `json:"input"`
 	State    string `json:"state"`

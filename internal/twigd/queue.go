@@ -12,9 +12,6 @@ import (
 //	   ▲                  │
 //	   └──lease expiry────┘  (requeued up to maxRequeues times,
 //	                          then failed)
-//
-// A pending job whose WaitFor blobs are not all present is parked: it
-// stays pending but is skipped by Claim until its inputs exist.
 const (
 	StatePending = "pending"
 	StateLeased  = "leased"
@@ -44,22 +41,18 @@ type Queue struct {
 	mu          sync.Mutex
 	ttl         time.Duration
 	maxRequeues int
-	hasBlob     func(hash string) bool // WaitFor gate; nil = never gated
 	jobs        map[string]*queueEntry
 	order       []string
 }
 
-// NewQueue returns a queue issuing leases of the given TTL. hasBlob
-// gates WaitFor-bearing jobs (nil treats every dependency as
-// unsatisfied until one is set — pass the blob store's Has).
-func NewQueue(ttl time.Duration, maxRequeues int, hasBlob func(string) bool) *Queue {
+// NewQueue returns a queue issuing leases of the given TTL.
+func NewQueue(ttl time.Duration, maxRequeues int) *Queue {
 	if maxRequeues <= 0 {
 		maxRequeues = DefaultMaxRequeues
 	}
 	return &Queue{
 		ttl:         ttl,
 		maxRequeues: maxRequeues,
-		hasBlob:     hasBlob,
 		jobs:        make(map[string]*queueEntry),
 	}
 }
@@ -67,37 +60,44 @@ func NewQueue(ttl time.Duration, maxRequeues int, hasBlob func(string) bool) *Qu
 // TTL returns the lease TTL.
 func (q *Queue) TTL() time.Duration { return q.ttl }
 
-// Submit enqueues one spec, assigning its canonical Key as ID when the
-// spec carries none. Submission is idempotent: a spec whose ID is
-// already queued (in any state) returns the existing ID untouched, so
-// a client retrying a submit — or two clients submitting the same
-// matrix — never duplicates work.
-func (q *Queue) Submit(spec JobSpec) (string, error) {
-	if err := spec.Validate(); err != nil {
-		return "", err
+// Submit enqueues a batch of specs all-or-nothing: every spec is
+// validated before any is queued, so a rejected batch leaves the queue
+// untouched. A spec without an ID gets its canonical Key. Submission
+// is idempotent: a spec whose ID is already queued (in any state)
+// returns the existing ID untouched, so a client retrying a submit —
+// or two clients submitting the same matrix — never duplicates work.
+// The returned IDs are parallel to specs.
+func (q *Queue) Submit(specs ...JobSpec) ([]string, error) {
+	for i := range specs {
+		if err := specs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
 	}
-	if spec.ID == "" {
-		spec.ID = spec.Key()
-	}
+	ids := make([]string, len(specs))
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, ok := q.jobs[spec.ID]; ok {
-		return spec.ID, nil
+	for i, spec := range specs {
+		if spec.ID == "" {
+			spec.ID = spec.Key()
+		}
+		ids[i] = spec.ID
+		if _, ok := q.jobs[spec.ID]; ok {
+			continue
+		}
+		q.jobs[spec.ID] = &queueEntry{spec: spec, state: StatePending}
+		q.order = append(q.order, spec.ID)
 	}
-	q.jobs[spec.ID] = &queueEntry{spec: spec, state: StatePending}
-	q.order = append(q.order, spec.ID)
-	return spec.ID, nil
+	return ids, nil
 }
 
-// Claim leases the first claimable pending job to the worker: pending,
-// in submission order, with every WaitFor blob present. It returns nil
-// when nothing is claimable right now.
+// Claim leases the first pending job, in submission order, to the
+// worker. It returns nil when nothing is pending.
 func (q *Queue) Claim(worker string, now time.Time) *JobSpec {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, id := range q.order {
 		e := q.jobs[id]
-		if e.state != StatePending || !q.ready(e) {
+		if e.state != StatePending {
 			continue
 		}
 		e.state = StateLeased
@@ -107,16 +107,6 @@ func (q *Queue) Claim(worker string, now time.Time) *JobSpec {
 		return &spec
 	}
 	return nil
-}
-
-// ready reports whether a pending entry's WaitFor gate is open.
-func (q *Queue) ready(e *queueEntry) bool {
-	for _, h := range e.spec.WaitFor {
-		if q.hasBlob == nil || !q.hasBlob(h) {
-			return false
-		}
-	}
-	return true
 }
 
 // Heartbeat extends the lease the worker holds on the job. It returns
@@ -210,7 +200,6 @@ func (q *Queue) Jobs() []JobStatus {
 		e := q.jobs[id]
 		out = append(out, JobStatus{
 			ID:       id,
-			Type:     e.spec.Type,
 			App:      string(e.spec.App),
 			Input:    e.spec.Input,
 			State:    e.state,

@@ -12,7 +12,6 @@ import (
 // (nothing here executes; the spec just has to pass Validate).
 func queueSpec(app workload.App, input int) JobSpec {
 	return JobSpec{
-		Type:    JobSchemes,
 		App:     app,
 		Input:   input,
 		Schemes: []string{"baseline"},
@@ -21,17 +20,17 @@ func queueSpec(app workload.App, input int) JobSpec {
 }
 
 func TestQueueSubmitIdempotent(t *testing.T) {
-	q := NewQueue(time.Minute, 0, func(string) bool { return true })
-	id1, err := q.Submit(queueSpec(workload.Verilator, 0))
+	q := NewQueue(time.Minute, 0)
+	ids1, err := q.Submit(queueSpec(workload.Verilator, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := q.Submit(queueSpec(workload.Verilator, 0))
+	ids2, err := q.Submit(queueSpec(workload.Verilator, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id1 != id2 {
-		t.Fatalf("resubmission changed ID: %q vs %q", id1, id2)
+	if ids1[0] != ids2[0] {
+		t.Fatalf("resubmission changed ID: %q vs %q", ids1[0], ids2[0])
 	}
 	if c := q.Counts(); c.Pending != 1 {
 		t.Fatalf("counts = %+v, want exactly 1 pending", c)
@@ -39,19 +38,19 @@ func TestQueueSubmitIdempotent(t *testing.T) {
 	// Differing configuration must NOT merge: fingerprints diverge.
 	other := queueSpec(workload.Verilator, 0)
 	other.Config.Instructions = 60_000
-	id3, err := q.Submit(other)
+	ids3, err := q.Submit(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id3 == id1 {
+	if ids3[0] == ids1[0] {
 		t.Fatal("different operating points merged into one queue entry")
 	}
 }
 
 func TestQueueSubmitRejectsInvalidSpec(t *testing.T) {
-	q := NewQueue(time.Minute, 0, nil)
-	if _, err := q.Submit(JobSpec{Type: "warp", App: workload.Verilator}); err == nil {
-		t.Fatal("invalid spec accepted")
+	q := NewQueue(time.Minute, 0)
+	if _, err := q.Submit(JobSpec{App: workload.Verilator}); err == nil {
+		t.Fatal("spec without schemes accepted")
 	}
 	bad := queueSpec(workload.Verilator, 0)
 	bad.Schemes = []string{"warp-drive"}
@@ -61,9 +60,9 @@ func TestQueueSubmitRejectsInvalidSpec(t *testing.T) {
 }
 
 func TestQueueClaimOrderAndLifecycle(t *testing.T) {
-	q := NewQueue(time.Minute, 0, func(string) bool { return true })
-	idA, _ := q.Submit(queueSpec(workload.Verilator, 0))
-	idB, _ := q.Submit(queueSpec(workload.Kafka, 0))
+	q := NewQueue(time.Minute, 0)
+	ids, _ := q.Submit(queueSpec(workload.Verilator, 0), queueSpec(workload.Kafka, 0))
+	idA, idB := ids[0], ids[1]
 	t0 := time.Unix(1000, 0)
 
 	first := q.Claim("w1", t0)
@@ -96,29 +95,10 @@ func TestQueueClaimOrderAndLifecycle(t *testing.T) {
 	}
 }
 
-func TestQueueWaitForGatesClaims(t *testing.T) {
-	blobs := map[string]bool{}
-	q := NewQueue(time.Minute, 0, func(h string) bool { return blobs[h] })
-	gate := strings.Repeat("ab", 32)
-	spec := queueSpec(workload.Verilator, 0)
-	spec.WaitFor = []string{gate}
-	id, err := q.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Unix(1000, 0)
-	if got := q.Claim("w1", t0); got != nil {
-		t.Fatalf("claimed %s while its WaitFor blob is absent", got.ID)
-	}
-	blobs[gate] = true
-	if got := q.Claim("w1", t0); got == nil || got.ID != id {
-		t.Fatalf("claim = %+v after blob appeared, want %s", got, id)
-	}
-}
-
 func TestQueueLeaseExpiryRequeuesAndDropsLateCompletion(t *testing.T) {
-	q := NewQueue(100*time.Millisecond, 0, func(string) bool { return true })
-	id, _ := q.Submit(queueSpec(workload.Verilator, 0))
+	q := NewQueue(100*time.Millisecond, 0)
+	ids, _ := q.Submit(queueSpec(workload.Verilator, 0))
+	id := ids[0]
 	t0 := time.Unix(1000, 0)
 	if q.Claim("ghost", t0) == nil {
 		t.Fatal("claim failed")
@@ -146,8 +126,9 @@ func TestQueueLeaseExpiryRequeuesAndDropsLateCompletion(t *testing.T) {
 }
 
 func TestQueueFailsAfterMaxRequeues(t *testing.T) {
-	q := NewQueue(10*time.Millisecond, 2, func(string) bool { return true })
-	id, _ := q.Submit(queueSpec(workload.Verilator, 0))
+	q := NewQueue(10*time.Millisecond, 2)
+	ids, _ := q.Submit(queueSpec(workload.Verilator, 0))
+	id := ids[0]
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		if q.Claim("ghost", now) == nil {

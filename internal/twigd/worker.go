@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twig/internal/core"
 	"twig/internal/runner"
 )
 
@@ -142,7 +141,7 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 		}
 	}()
 
-	err := w.runSpec(jobCtx, spec, run, cache)
+	err := w.runSpec(jobCtx, spec, run)
 	cancelJob()
 	<-heartbeatDone
 
@@ -167,64 +166,17 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 	}
 }
 
-// runSpec executes one spec through the runner. Every job takes its
-// identity from the runner functions the local execution paths
-// (experiments Context, facade RunMatrix) use — Runner.Schemes,
-// Runner.Checkpoint, SchemeMember, CheckpointMember — so the cache
+// runSpec executes one spec through the runner: one Runner.Schemes
+// call over the input-0 artifacts, the same call the local execution
+// paths (experiments Context, facade RunMatrix) make, so the cache
 // entries the remote tier receives are indistinguishable from locally
 // computed ones.
-func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner, cache *runner.Cache) error {
+func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	opts := spec.Config.Options()
-	art := runner.ArtifactsJob(spec.App, spec.Train, opts, "")
-	switch spec.Type {
-	case JobProfile:
-		_, err := run.Result(ctx, art)
-		return err
-
-	case JobSchemes:
-		_, err := run.Schemes(ctx, art, spec.App, spec.Input, spec.Schemes, opts)
-		return err
-
-	case JobCheckpoint:
-		_, err := run.Checkpoint(ctx, art, spec.Scheme, spec.App, spec.Input, spec.At, opts)
-		return err
-
-	case JobResume:
-		m, err := runner.SchemeMember(spec.Scheme, spec.App, spec.Input, opts)
-		if err != nil {
-			return err
-		}
-		ckpt, err := runner.CheckpointMember(spec.Scheme, spec.App, spec.Input, spec.At, opts)
-		if err != nil {
-			return err
-		}
-		_, err = run.Result(ctx, &runner.Job{
-			ID:    m.ID,
-			Kind:  m.Kind,
-			Hash:  m.Hash,
-			Codec: m.Codec,
-			Deps:  []*runner.Job{art},
-			Run: func(_ context.Context, deps []any) (any, error) {
-				// The checkpoint arrives through the cache's remote tier
-				// (WaitFor guaranteed it exists before this job was
-				// claimable), already envelope-validated; the checkpoint
-				// payload additionally self-validates on restore.
-				v, ok := cache.Get(ckpt.Hash, runner.CheckpointCodec{})
-				if !ok {
-					return nil, fmt.Errorf("twigd: checkpoint %s unavailable", ckpt.Hash[:12])
-				}
-				a := deps[0].(*core.Artifacts)
-				r, err := a.ResumeScheme(spec.Scheme, spec.Input, opts, v.([]byte))
-				if err == nil {
-					run.AddSimInstructions(r.Instructions - spec.At)
-				}
-				return r, err
-			},
-		})
-		return err
-	}
-	return fmt.Errorf("twigd: unknown job type %q", spec.Type)
+	art := runner.ArtifactsJob(spec.App, 0, opts, "")
+	_, err := run.Schemes(ctx, art, spec.App, spec.Input, spec.Schemes, opts)
+	return err
 }
