@@ -15,7 +15,6 @@ import (
 
 	"twig/internal/core"
 	"twig/internal/metrics"
-	"twig/internal/prefetcher"
 	"twig/internal/profile"
 	"twig/internal/telemetry"
 	"twig/internal/workload"
@@ -104,16 +103,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg := opts.Pipeline
-		cfg.BackendCPI = params.BackendCPI
-		cfg.CondMispredictRate = params.CondMispredictRate
-		cfg.Scheme = prefetcher.NewBaseline(opts.BTB, 0, false)
-		prof, res, err := profile.Collect(p, params.InputPhase(*input, core.ProfilePhase), cfg, *rate)
+		opts.ProfileInstructions = *n
+		prof, err := core.CollectProfile(p, params, *input, opts)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("profiled %s: %d instructions, %d BTB-miss samples over %d branches\n",
-			*app, res.Original, len(prof.Samples), len(prof.MissCounts))
+			*app, prof.Instructions, len(prof.Samples), len(prof.MissCounts))
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {

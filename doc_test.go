@@ -110,6 +110,56 @@ func TestSchemeTableIsTheOneHome(t *testing.T) {
 	}
 }
 
+// TestMemoRunStaysOutsideTheTable fails on a memoRun closure that calls
+// RunScheme, RunOptimized or Reoptimize. memoRun serves runs outside
+// the scheme table under a hand-written memo key, which hashes over the
+// context's options; a table scheme's run goes through
+// Context.schemesUnder, whose identity (runner.TableMembers) follows the
+// options and training the run actually uses.
+func TestMemoRunStaysOutsideTheTable(t *testing.T) {
+	banned := map[string]bool{"RunScheme": true, "RunOptimized": true, "Reoptimize": true}
+	fset := token.NewFileSet()
+	var calls int
+	var hits []string
+	for _, file := range sourceFiles(t, fset) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || selectorName(call.Fun) != "memoRun" {
+				return true
+			}
+			calls++
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					ast.Inspect(lit.Body, func(n ast.Node) bool {
+						if c, ok := n.(*ast.CallExpr); ok && banned[selectorName(c.Fun)] {
+							hits = append(hits, fmt.Sprintf("%s: %s", fset.Position(c.Pos()), selectorName(c.Fun)))
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+	}
+	if calls == 0 {
+		t.Fatal("found no memoRun call: the check below would be vacuous")
+	}
+	if len(hits) > 0 {
+		sort.Strings(hits)
+		t.Errorf("%d table-scheme runs inside memoRun closures (run them through Context.schemesUnder instead):\n  %s",
+			len(hits), strings.Join(hits, "\n  "))
+	}
+}
+
+// selectorName returns the selected name of a selector expression
+// (x.Name), or "".
+func selectorName(e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
 // undocumented returns the names of exported, doc-less declarations in
 // decl. Grouped specs inherit the group's doc comment, matching godoc's
 // rendering rules.

@@ -50,8 +50,8 @@ type Options struct {
 	SampleRate int
 	// Telemetry configures observability for evaluation runs (registry,
 	// epoch series, event trace). Profiling runs never carry telemetry:
-	// BuildAndOptimize zeroes it so training cannot perturb or pollute
-	// the measured stream.
+	// the Training projection zeroes it so training cannot perturb or
+	// pollute the measured stream.
 	Telemetry pipeline.Telemetry
 	// ProfileInstructions is the training-run length. Zero means twice
 	// the evaluation window — production profiles cover far more
@@ -73,6 +73,33 @@ func DefaultOptions() Options {
 		PrefetchBuffer: 128,
 		SampleRate:     1,
 	}
+}
+
+// Training projects o onto the fields training reads: the machine
+// configuration, BTB, SampleRate and ProfileInstructions that
+// CollectProfile profiles under, and the Opt that twigopt.Analyze
+// reads. PrefetchBuffer, Sample, telemetry and the machine's scheme and
+// sink are zeroed, because no trained binary depends on them.
+// CollectProfile reads its options only through this projection, and a
+// run's identity compares and hashes its training by it
+// (runner.TableMembers).
+func (o Options) Training() Options {
+	t := Options{Pipeline: o.Pipeline, BTB: o.BTB, Opt: o.Opt, SampleRate: o.SampleRate, ProfileInstructions: o.ProfileInstructions}
+	t.Pipeline.Scheme, t.Pipeline.Sink, t.Pipeline.Telemetry = nil, nil, pipeline.Telemetry{}
+	return t
+}
+
+// Observed reports whether opts attach a per-run observer: an event
+// sink, a metric registry or an event tracer. A cache hit would skip an
+// observer's side effects (runner.Cacheable), and a grouped run would
+// call it from several goroutines at once (Groupable).
+// Telemetry.EpochLength alone is no observer: a nil Registry gives each
+// run a private one (see pipeline.Telemetry), and the epoch length
+// reaches the cache key instead. Nor is Telemetry.Span: schemeConfig
+// gives every scheme its own child span, and the ledger behind them is
+// concurrency-safe.
+func Observed(opts Options) bool {
+	return opts.Pipeline.Sink != nil || opts.Telemetry.Registry != nil || opts.Telemetry.Tracer != nil
 }
 
 // Artifacts carries everything produced for one application, cached by
@@ -119,10 +146,11 @@ func BuildAndOptimize(app workload.App, trainInput int, opts Options) (*Artifact
 // CollectProfile runs the training simulation for an already-built
 // binary and returns its profile — the expensive middle stage of
 // BuildAndOptimize, split out so job runners can schedule (and cache)
-// it separately from the cheap build and analyze stages.
+// it separately from the cheap build and analyze stages. It reads opts
+// through the Training projection, so training runs are never observed.
 func CollectProfile(p *program.Program, params workload.Params, trainInput int, opts Options) (*profile.Profile, error) {
+	opts = opts.Training()
 	cfg := machineConfig(opts, params)
-	cfg.Telemetry = pipeline.Telemetry{} // training runs are not observed
 	cfg.Scheme = prefetcher.NewBaseline(opts.BTB, 0, false)
 	if opts.ProfileInstructions > 0 {
 		cfg.MaxInstructions = opts.ProfileInstructions
@@ -182,21 +210,13 @@ func BuildWithProfile(app workload.App, prof *profile.Profile, opts Options) (*A
 }
 
 // Reoptimize re-runs the Twig analysis on the already-collected profile
-// with a different analysis configuration and returns the re-linked
-// binary and its analysis. Sensitivity sweeps over analysis parameters
-// (prefetch distance, coalesce mask width, coalescing on/off) reuse the
-// profile this way, exactly as the real system would reuse one
-// production profile for many optimization trials.
-func (a *Artifacts) Reoptimize(optCfg twigopt.Config) (*program.Program, *twigopt.Analysis, error) {
-	an, err := twigopt.Analyze(a.Program, a.Profile, optCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	optimized, err := a.Program.Inject(an.Plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return optimized, an, nil
+// under opts.Opt and relinks, returning artifacts that share a's binary
+// and profile. Sensitivity sweeps over analysis parameters (prefetch
+// distance, coalesce mask width, coalescing on/off) reuse the profile
+// this way, exactly as the real system would reuse one production
+// profile for many optimization trials.
+func (a *Artifacts) Reoptimize(opts Options) (*Artifacts, error) {
+	return OptimizeFromProfile(a.Program, a.Params, a.Profile, a.TrainInput, opts)
 }
 
 // RunProgram simulates any variant of the application's binary
@@ -208,8 +228,8 @@ func (a *Artifacts) RunProgram(prog *program.Program, input int, opts Options, s
 	return pipeline.Run(prog, a.Params.InputPhase(input, EvalPhase), cfg)
 }
 
-// RunOptimized simulates an alternative optimized binary (produced by
-// Reoptimize) under the Twig machine configuration.
+// RunOptimized simulates an optimized binary, such as one relinked from
+// another analysis, under the Twig machine configuration.
 func (a *Artifacts) RunOptimized(optimized *program.Program, input int, opts Options) (*pipeline.Result, error) {
 	return a.RunProgram(optimized, input, opts, prefetcher.NewBaseline(opts.BTB, opts.PrefetchBuffer, false))
 }
@@ -259,17 +279,9 @@ func endSchemeSpan(cfg pipeline.Config, err error) {
 }
 
 // Groupable reports whether opts permits simulating several schemes
-// concurrently over one shared stream. A Sink and telemetry outputs
-// are per-run observers that grouped execution would invoke from
-// several goroutines at once, so any observer forces the sequential
-// fallback. Telemetry.EpochLength alone is safe (a nil Registry gives
-// each run a private one, see pipeline.Telemetry), and so is
-// Telemetry.Span — schemeConfig gives every scheme its own child span,
-// and the ledger behind them is concurrency-safe.
-func Groupable(opts Options) bool {
-	return opts.Pipeline.Sink == nil &&
-		opts.Telemetry.Registry == nil && opts.Telemetry.Tracer == nil
-}
+// concurrently over one shared stream: it does unless opts attach an
+// observer (Observed), which forces the sequential fallback.
+func Groupable(opts Options) bool { return !Observed(opts) }
 
 // RunSchemes simulates the named schemes for one input, sharing work
 // where it can: schemes that simulate the same program variant (twig

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twig/internal/profile"
+	"twig/internal/sampling"
 	"twig/internal/twigopt"
 	"twig/internal/workload"
 )
@@ -89,19 +90,22 @@ func TestReoptimizeReusesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := opts.Opt
-	cfg.DisableCoalescing = true
-	prog, an, err := art.Reoptimize(cfg)
+	swOnly := opts
+	swOnly.Opt.DisableCoalescing = true
+	re, err := art.Reoptimize(swOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.CoalesceTable) != 0 {
+	if len(re.Optimized.CoalesceTable) != 0 {
 		t.Fatal("coalescing-disabled reoptimize kept a table")
 	}
-	if an == art.Analysis {
+	if re.Analysis == art.Analysis {
 		t.Fatal("reoptimize returned the original analysis")
 	}
-	if _, err := art.RunOptimized(prog, 0, opts); err != nil {
+	if re.Profile != art.Profile || re.Program != art.Program {
+		t.Fatal("reoptimize did not reuse the profile and the binary")
+	}
+	if _, err := re.RunScheme("twig", 0, swOnly); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,6 +128,57 @@ func TestDeterministicArtifacts(t *testing.T) {
 	}
 	if a1.Optimized.TextBytes != a2.Optimized.TextBytes {
 		t.Fatal("relink nondeterministic")
+	}
+}
+
+// TestTrainingProjectionPinsProfile is the metamorphic pin of
+// Options.Training, the projection a run's identity hashes its training
+// by: changing a field outside it leaves CollectProfile's saved bytes
+// unchanged, and so does changing Opt, which only the analysis reads;
+// changing a field the profiler reads changes them.
+func TestTrainingProjectionPinsProfile(t *testing.T) {
+	params, err := workload.ParamsFor(workload.Verilator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.Build(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := func(opts Options) []byte {
+		t.Helper()
+		prof, err := CollectProfile(p, params, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := prof.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	base := DefaultOptions()
+	base.ProfileInstructions = 40_000
+	want := saved(base)
+	for _, c := range []struct {
+		field                     string
+		mutate                    func(*Options)
+		sameTraining, sameProfile bool
+	}{
+		{"PrefetchBuffer", func(o *Options) { o.PrefetchBuffer = 16 }, true, true},
+		{"Sample", func(o *Options) { o.Sample = sampling.Spec{Interval: 5_000, Period: 4} }, true, true},
+		{"Opt", func(o *Options) { o.Opt.PrefetchDistance = 5; o.Opt.DisableCoalescing = true }, false, true},
+		{"BTB entries", func(o *Options) { o.BTB.Entries = 2048 }, false, false},
+		{"SampleRate", func(o *Options) { o.SampleRate = 4 }, false, false},
+	} {
+		o := base
+		c.mutate(&o)
+		if got := o.Training() == base.Training(); got != c.sameTraining {
+			t.Errorf("%s: Training projections equal = %v, want %v", c.field, got, c.sameTraining)
+		}
+		if got := bytes.Equal(saved(o), want); got != c.sameProfile {
+			t.Errorf("%s: saved profiles equal = %v, want %v", c.field, got, c.sameProfile)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"twig/internal/core"
 	"twig/internal/metrics"
+	"twig/internal/runner"
 )
 
 // The ablations probe the design choices DESIGN.md calls out, beyond
@@ -19,36 +19,25 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "twig % of ideal", "nearest-site % of ideal", "twig acc %", "nearest acc %")
 			for _, app := range c.SweepApps() {
-				base, err := c.Scheme(app, 0, "baseline")
-				if err != nil {
-					return err
-				}
-				ideal, err := c.Scheme(app, 0, "ideal")
-				if err != nil {
-					return err
-				}
 				tw, err := c.Scheme(app, 0, "twig")
 				if err != nil {
 					return err
 				}
-				near, err := c.memoRun(fmt.Sprintf("nearest/%s", app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-					optCfg := c.Opts.Opt
-					optCfg.NearestSite = true
-					prog, _, err := a.Reoptimize(optCfg)
-					if err != nil {
-						return nil, err
-					}
-					return a.RunOptimized(prog, 0, c.Opts)
-				})
+				opts := c.Opts
+				opts.Opt.NearestSite = true
+				near, err := c.schemeUnder(app, 0, opts, runner.Training{Opts: opts}, "twig")
 				if err != nil {
 					return err
 				}
-				idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-				t.Row(string(app),
-					metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp),
-					metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), near.IPC()), idealSp),
-					tw.Prefetch.Accuracy()*100,
-					near.Prefetch.Accuracy()*100)
+				twPct, err := c.percentOfIdeal(app, tw)
+				if err != nil {
+					return err
+				}
+				nearPct, err := c.percentOfIdeal(app, near)
+				if err != nil {
+					return err
+				}
+				t.Row(string(app), twPct, nearPct, tw.Prefetch.Accuracy()*100, near.Prefetch.Accuracy()*100)
 			}
 			_, err := fmt.Fprint(c.Out, t.String())
 			return err
@@ -65,28 +54,17 @@ func init() {
 			for _, p := range probs {
 				var sp, acc, oh []float64
 				for _, app := range c.SweepApps() {
-					base, err := c.Scheme(app, 0, "baseline")
+					opts := c.Opts
+					opts.Opt.MinProbability = p
+					tw, err := c.schemeUnder(app, 0, opts, runner.Training{Opts: opts}, "twig")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.Scheme(app, 0, "ideal")
+					pct, err := c.percentOfIdeal(app, tw)
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("minprob%.2f/%s", p, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.MinProbability = p
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
-					if err != nil {
-						return err
-					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					sp = append(sp, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
+					sp = append(sp, pct)
 					acc = append(acc, tw.Prefetch.Accuracy()*100)
 					oh = append(oh, tw.DynamicOverhead()*100)
 				}
@@ -111,24 +89,19 @@ func init() {
 					if err != nil {
 						return err
 					}
-					ideal, err := c.Scheme(app, 0, "ideal")
-					if err != nil {
-						return err
-					}
+					// The sampling rate shapes the profile, so each rate
+					// trains its own binary.
 					opts := c.Opts
 					opts.SampleRate = rate
-					key := fmt.Sprintf("srate%d/%s", rate, app)
-					// The sampling rate shapes the profile, so each rate
-					// trains its own artifacts.
-					art := c.artUnder(app, opts, fmt.Sprintf("srate%d/", rate))
-					tw, err := c.memoRun(key, art, func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("twig", 0, opts)
-					})
+					tw, err := c.schemeUnder(app, 0, opts, runner.Training{Opts: opts}, "twig")
 					if err != nil {
 						return err
 					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					sp = append(sp, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
+					pct, err := c.percentOfIdeal(app, tw)
+					if err != nil {
+						return err
+					}
+					sp = append(sp, pct)
 					cov = append(cov, metrics.Coverage(base.BTB.DirectMisses(), tw.BTB.DirectMisses()))
 				}
 				t.Row(rate, metrics.Mean(sp), metrics.Mean(cov))

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"twig/internal/btb"
-	"twig/internal/core"
 	"twig/internal/metrics"
-	"twig/internal/pipeline"
+	"twig/internal/runner"
 )
 
 func init() {
@@ -18,25 +17,15 @@ func init() {
 			t := metrics.NewTable("app", "policy", "base MPKI", "twig sp%", "twig cover%")
 			for _, app := range c.SweepApps() {
 				for _, pol := range []btb.Replacement{btb.ReplaceLRU, btb.ReplaceFIFO, btb.ReplaceRandom} {
+					// A different policy changes the profile, so each
+					// policy trains its own binary.
 					opts := c.Opts
 					opts.BTB.Replacement = pol
-					key := fmt.Sprintf("repl-%v/%s", pol, app)
-
-					// A different policy changes the profile, so the whole
-					// pipeline reruns.
-					art := c.artUnder(app, opts, fmt.Sprintf("repl-%v/", pol))
-					base, err := c.memoRun(key+"/base", art, func(a *core.Artifacts) (*pipeline.Result, error) {
-						return a.RunScheme("baseline", 0, opts)
-					})
+					runs, err := c.schemesUnder(app, 0, opts, runner.Training{Opts: opts}, "baseline", "twig")
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(key+"/twig", art, func(a *core.Artifacts) (*pipeline.Result, error) {
-						return a.RunScheme("twig", 0, opts)
-					})
-					if err != nil {
-						return err
-					}
+					base, tw := runs["baseline"], runs["twig"]
 					t.Row(string(app), pol.String(), base.MPKI(),
 						metrics.Speedup(base.IPC(), tw.IPC()),
 						metrics.Coverage(base.BTB.DirectMisses(), tw.BTB.DirectMisses()))

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"twig/internal/core"
 	"twig/internal/metrics"
-	"twig/internal/pipeline"
+	"twig/internal/runner"
 )
 
 func init() {
@@ -32,27 +31,14 @@ func init() {
 					return err
 				}
 
-				// TAGE runs.
+				// TAGE runs, on the context's binary.
 				tOpts := c.Opts
 				tOpts.Pipeline.UseTAGE = true
-				baseT, err := c.memoRun(fmt.Sprintf("tage-base/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
-					return a.RunScheme("baseline", 0, tOpts)
-				})
+				runs, err := c.schemesUnder(app, 0, tOpts, runner.Training{Opts: c.Opts}, "baseline", "ideal", "twig")
 				if err != nil {
 					return err
 				}
-				idealT, err := c.memoRun(fmt.Sprintf("tage-ideal/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
-					return a.RunScheme("ideal", 0, tOpts)
-				})
-				if err != nil {
-					return err
-				}
-				twT, err := c.memoRun(fmt.Sprintf("tage-twig/%s", app), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
-					return a.RunScheme("twig", 0, tOpts)
-				})
-				if err != nil {
-					return err
-				}
+				baseT, idealT, twT := runs["baseline"], runs["ideal"], runs["twig"]
 
 				mpkiStat := float64(base.CondMispredicts) / float64(base.Original) * 1000
 				mpkiTage := float64(baseT.CondMispredicts) / float64(baseT.Original) * 1000

@@ -10,17 +10,17 @@ import (
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
+	"twig/internal/runner"
 	"twig/internal/streams"
 	"twig/internal/workload"
 )
 
-// idealICache returns the cached ideal-I-cache run (baseline BTB).
+// idealICache returns the cached ideal-I-cache run (baseline BTB), on
+// the context's artifacts.
 func (c *Context) idealICache(app workload.App, input int) (*pipeline.Result, error) {
-	return c.memoRun(fmt.Sprintf("idealic/%s/%d", app, input), c.art(app, 0), func(a *core.Artifacts) (*pipeline.Result, error) {
-		opts := c.Opts
-		opts.Pipeline.IdealICache = true
-		return a.RunScheme("baseline", input, opts)
-	})
+	opts := c.Opts
+	opts.Pipeline.IdealICache = true
+	return c.schemeUnder(app, input, opts, runner.Training{Opts: c.Opts}, "baseline")
 }
 
 // threeC is the cached payload of a 3C-classified baseline run.

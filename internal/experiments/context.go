@@ -23,7 +23,6 @@ import (
 	"twig/internal/core"
 	"twig/internal/pipeline"
 	"twig/internal/runner"
-	"twig/internal/telemetry"
 	"twig/internal/twigd"
 	"twig/internal/workload"
 )
@@ -124,21 +123,6 @@ func (c *Context) art(app workload.App, train int) *runner.Job {
 	return runner.ArtifactsJob(app, train, c.Opts, "")
 }
 
-// artUnder returns the artifacts job (training input 0) for a variant
-// operating point: the shared job when opts canonically equal the
-// context's options (runner.CanonicalOptions), else a job namespaced
-// by tag. A different BTB
-// geometry, replacement policy or sampling rate changes the profile,
-// so the whole profile→analyze→inject pipeline reruns as runner jobs,
-// with the retraining profile disk-cached. tag must uniquely name the
-// variant.
-func (c *Context) artUnder(app workload.App, opts core.Options, tag string) *runner.Job {
-	if runner.CanonicalOptions(opts) == runner.CanonicalOptions(c.Opts) {
-		return c.art(app, 0)
-	}
-	return runner.ArtifactsJob(app, 0, opts, tag)
-}
-
 // memo resolves the job with member m's identity whose one dependency
 // is the artifacts job art, and returns its payload. f receives the
 // job's context (its ledger span rides in it) and the built artifacts.
@@ -163,14 +147,16 @@ func memo[T any](c *Context, m runner.Member, art *runner.Job, f func(stdctx.Con
 	return v.(T), nil
 }
 
-// memoRun caches the simulation f runs on the artifacts art builds,
-// under an explicit memo key. The key must uniquely identify the run
-// given the context's operating point (keys embed the app, scheme,
-// input and any sweep parameter); it is also the content-hash seed for
-// the persistent cache (runner.SimMember), so a warm cache serves the
-// result without executing f or building the artifacts. Executed runs
-// credit their instruction count to the runner's aggregate kIPS
-// counter; cache replays never reach f and credit nothing.
+// memoRun caches a simulation outside the scheme table (a scheme
+// instance or binary no core.Schemes entry builds) that f runs on the
+// artifacts art builds, under an explicit memo key. The key must
+// uniquely identify the run given the context's operating point; it is
+// also the content-hash seed for the persistent cache
+// (runner.SimMember), so a warm cache serves the result without
+// executing f or building the artifacts. Executed runs credit their
+// instruction count to the runner's aggregate kIPS counter; cache
+// replays never reach f and credit nothing. Table schemes run through
+// schemesUnder instead, which derives their identity.
 func (c *Context) memoRun(key string, art *runner.Job, f func(*core.Artifacts) (*pipeline.Result, error)) (*pipeline.Result, error) {
 	return memo(c, runner.SimMember(key, c.Opts), art, func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
 		res, err := f(a)
@@ -179,19 +165,6 @@ func (c *Context) memoRun(key string, art *runner.Job, f func(*core.Artifacts) (
 		}
 		return res, err
 	})
-}
-
-// optsWithSpan returns the context's options with the job's ledger
-// span (from the runner, via jctx) attached, so the simulation's
-// warmup/measure phases appear as children of the job's span. With no
-// ledger configured the span is nil and the options are unchanged in
-// effect.
-func (c *Context) optsWithSpan(jctx stdctx.Context) core.Options {
-	o := c.Opts
-	if sp := telemetry.SpanFromContext(jctx); sp != nil {
-		o.Telemetry.Span = sp
-	}
-	return o
 }
 
 // memoDerived caches a JSON-serializable derived statistic (3C
@@ -208,36 +181,48 @@ func memoDerived[T any](c *Context, key string, art *runner.Job, f func(*core.Ar
 }
 
 // Scheme returns the cached run of one named scheme (core.SchemeNames)
-// for (app, input), computed as a job of its own. Its identity comes
-// from runner.SchemeMember, so the grouped Schemes path, the facade's
-// RunMatrix and twigd fleet workers address the same memo entry and
-// cache envelope.
+// for (app, input) at the context's operating point, as a job of its
+// own (see schemesUnder).
 func (c *Context) Scheme(app workload.App, input int, name string) (*pipeline.Result, error) {
-	m, err := runner.SchemeMember(name, app, input, c.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return memo(c, m, c.art(app, 0), func(jctx stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
-		res, err := a.RunScheme(name, input, c.optsWithSpan(jctx))
-		if err == nil {
-			c.run.AddSimInstructions(res.Instructions)
-		}
-		return res, err
-	})
+	return c.schemeUnder(app, input, c.Opts, runner.Training{Opts: c.Opts}, name)
 }
 
 // Schemes returns the cached runs of the named schemes (core.SchemeNames)
-// for (app, input), keyed by scheme name, through runner.Runner.Schemes:
-// members missing from the cache run in one shared-stream pass, with
-// already-cached members peeled out of the group first; payloads and
+// for (app, input) at the context's operating point, keyed by scheme
+// name, as one shared-stream group (see schemesUnder). Payloads and
 // cache entries are identical to Scheme's, so either path warms the
 // other.
 func (c *Context) Schemes(app workload.App, input int, names ...string) (map[string]*pipeline.Result, error) {
-	out, err := c.run.Schemes(c.ctx, c.art(app, 0), app, input, names, c.Opts)
+	return c.schemesUnder(app, input, c.Opts, runner.Training{Opts: c.Opts}, names...)
+}
+
+// schemesUnder is the one way the experiments run table schemes: the
+// context's own runs, and every sweep and ablation that reruns them
+// with one knob changed. It resolves the named schemes' runs of (app,
+// input) under opts, where an Optimized scheme runs the binary that tr
+// names, through runner.Runner.Schemes with the context's options as
+// home: one name is a job of its own, several are one group. The
+// identity comes from runner.TableMembers, so a variant at the context's
+// operating point is the table run, and a sweep point hashes as
+// RunMatrix and twigd workers would for its options. The binary comes
+// from runner.TrainingJob: the context's own artifacts when tr trains
+// as the context does, a re-analysis of the context's profile when only
+// the analysis configuration differs, and a retraining otherwise.
+func (c *Context) schemesUnder(app workload.App, input int, opts core.Options, tr runner.Training, names ...string) (map[string]*pipeline.Result, error) {
+	out, err := c.run.Schemes(c.ctx, app, input, names, opts, tr, c.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: schemes %s/%d: %w", app, input, err)
 	}
 	return out, nil
+}
+
+// schemeUnder is schemesUnder for one scheme, as a job of its own.
+func (c *Context) schemeUnder(app workload.App, input int, opts core.Options, tr runner.Training, name string) (*pipeline.Result, error) {
+	runs, err := c.schemesUnder(app, input, opts, tr, name)
+	if err != nil {
+		return nil, err
+	}
+	return runs[name], nil
 }
 
 // Experiment is one regenerable table or figure.

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"twig/internal/btb"
-	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
-	"twig/internal/prefetcher"
+	"twig/internal/runner"
 	"twig/internal/workload"
 )
 
@@ -106,15 +105,9 @@ func init() {
 				if err != nil {
 					return err
 				}
-				swOnly, err := c.memoRun(fmt.Sprintf("swonly/%s", app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-					optCfg := c.Opts.Opt
-					optCfg.DisableCoalescing = true
-					prog, _, err := a.Reoptimize(optCfg)
-					if err != nil {
-						return nil, err
-					}
-					return a.RunOptimized(prog, 0, c.Opts)
-				})
+				opts := c.Opts
+				opts.Opt.DisableCoalescing = true
+				swOnly, err := c.schemeUnder(app, 0, opts, runner.Training{Opts: opts}, "twig")
 				if err != nil {
 					return err
 				}
@@ -179,9 +172,7 @@ func init() {
 					cross = append(cross, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
 
 					// Twig trained and tested on the same input.
-					twSame, err := c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), c.art(app, input), func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("twig", input, c.Opts)
-					})
+					twSame, err := c.schemeUnder(app, input, c.Opts, runner.Training{Input: input, Opts: c.Opts}, "twig")
 					if err != nil {
 						return err
 					}
@@ -281,11 +272,10 @@ func init() {
 	})
 }
 
-// bigBTB returns the cached run of the unmodified binary with an
-// entries-sized baseline BTB (Fig. 16's 32K comparison point).
+// bigBTB returns the cached baseline run with an entries-sized BTB
+// (Fig. 16's 32K comparison point), on the context's artifacts.
 func (c *Context) bigBTB(app workload.App, entries int) (*r, error) {
-	return c.memoRun(fmt.Sprintf("btb%d/%s", entries, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-		scheme := prefetcher.NewBaseline(btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}, 0, false)
-		return a.RunProgram(a.Program, 0, c.Opts, scheme)
-	})
+	opts := c.Opts
+	opts.BTB = btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}
+	return c.schemeUnder(app, 0, opts, runner.Training{Opts: c.Opts}, "baseline")
 }

@@ -8,6 +8,7 @@ import (
 	"twig/internal/metrics"
 	"twig/internal/runner"
 	"twig/internal/sampling"
+	"twig/internal/telemetry"
 	"twig/internal/workload"
 )
 
@@ -51,7 +52,9 @@ func (c *Context) Sampled(app workload.App, input int, scheme string) (*sampling
 	m := runner.Member{ID: "run/" + key, Kind: runner.KindSampled, Hash: h, Codec: runner.JSONCodec[*sampling.Estimate]{}}
 	return memo(c, m, c.art(app, 0), func(jctx stdctx.Context, a *core.Artifacts) (*sampling.Estimate, error) {
 		o := opts
-		o.Telemetry = c.optsWithSpan(jctx).Telemetry
+		if sp := telemetry.SpanFromContext(jctx); sp != nil {
+			o.Telemetry.Span = sp
+		}
 		est, err := a.RunSchemeSampled(scheme, input, o)
 		if err == nil {
 			c.run.AddSimInstructions(est.DetailedInstructions)

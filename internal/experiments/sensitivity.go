@@ -6,42 +6,42 @@ import (
 	"twig/internal/btb"
 	"twig/internal/core"
 	"twig/internal/metrics"
+	"twig/internal/runner"
 	"twig/internal/workload"
 )
 
 // sweepPoint runs baseline/Twig/Shotgun/Confluence for one application
-// under modified options, rebuilding artifacts when the BTB geometry
-// differs from the cached one (the profile depends on the BTB), and
-// returns each scheme's raw speedup percentage. The BTB-size and
-// associativity sweeps report raw speedups rather than %-of-ideal
-// because large BTBs drive the ideal headroom toward zero at this
-// workload scale, which makes a ratio numerically meaningless; so no
-// ideal run is made (the ideal BTB ignores the swept geometry anyway).
-func (c *Context) sweepPoint(app workload.App, opts core.Options, key string) (twig, shotgun, confluence float64, err error) {
-	art := c.artUnder(app, opts, key+"/")
-	run := func(prefix, scheme string) (*r, error) {
-		return c.memoRun(prefix+key, art, func(a *core.Artifacts) (*r, error) { return a.RunScheme(scheme, 0, opts) })
-	}
-	base, err := run("swp-base/", "baseline")
+// under modified options, trained under those options (the profile
+// depends on the BTB geometry), and returns each scheme's raw speedup
+// percentage. The BTB-size and associativity sweeps report raw speedups
+// rather than %-of-ideal because large BTBs drive the ideal headroom
+// toward zero at this workload scale, which makes a ratio numerically
+// meaningless; so no ideal run is made (the ideal BTB ignores the swept
+// geometry anyway).
+func (c *Context) sweepPoint(app workload.App, opts core.Options) (twig, shotgun, confluence float64, err error) {
+	runs, err := c.schemesUnder(app, 0, opts, runner.Training{Opts: opts}, "baseline", "twig", "shotgun", "confluence")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	tw, err := run("swp-twig/", "twig")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sh, err := run("swp-shot/", "shotgun")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cf, err := run("swp-conf/", "confluence")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return metrics.Speedup(base.IPC(), tw.IPC()),
-		metrics.Speedup(base.IPC(), sh.IPC()),
-		metrics.Speedup(base.IPC(), cf.IPC()),
+	base := runs["baseline"].IPC()
+	return metrics.Speedup(base, runs["twig"].IPC()),
+		metrics.Speedup(base, runs["shotgun"].IPC()),
+		metrics.Speedup(base, runs["confluence"].IPC()),
 		nil
+}
+
+// percentOfIdeal returns run's speedup over the app's baseline as a
+// percentage of the ideal BTB's, both at the context's operating point.
+func (c *Context) percentOfIdeal(app workload.App, run *r) (float64, error) {
+	base, err := c.Scheme(app, 0, "baseline")
+	if err != nil {
+		return 0, err
+	}
+	ideal, err := c.Scheme(app, 0, "ideal")
+	if err != nil {
+		return 0, err
+	}
+	return metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), run.IPC()), metrics.Speedup(base.IPC(), ideal.IPC())), nil
 }
 
 func init() {
@@ -57,7 +57,7 @@ func init() {
 				for _, app := range c.SweepApps() {
 					opts := c.Opts
 					opts.BTB = btb.Config{Entries: s, Ways: c.Opts.BTB.Ways}
-					tw, sh, cf, err := c.sweepPoint(app, opts, fmt.Sprintf("size%d/%s", s, app))
+					tw, sh, cf, err := c.sweepPoint(app, opts)
 					if err != nil {
 						return err
 					}
@@ -82,7 +82,7 @@ func init() {
 				for _, app := range c.SweepApps() {
 					opts := c.Opts
 					opts.BTB = btb.Config{Entries: c.Opts.BTB.Entries, Ways: w}
-					tw, sh, cf, err := c.sweepPoint(app, opts, fmt.Sprintf("ways%d/%s", w, app))
+					tw, sh, cf, err := c.sweepPoint(app, opts)
 					if err != nil {
 						return err
 					}
@@ -100,34 +100,7 @@ func init() {
 		Title: "% of ideal-BTB speedup vs prefetch-buffer size (8-256 entries)",
 		Paper: "Twig scales up to ~128 entries, then diminishing returns; prior work does not scale",
 		Run: func(c *Context) error {
-			sizes := []int{8, 16, 32, 64, 128, 256}
-			t := metrics.NewTable("buffer entries", "twig % of ideal")
-			for _, s := range sizes {
-				var tws []float64
-				for _, app := range c.SweepApps() {
-					base, err := c.Scheme(app, 0, "baseline")
-					if err != nil {
-						return err
-					}
-					ideal, err := c.Scheme(app, 0, "ideal")
-					if err != nil {
-						return err
-					}
-					opts := c.Opts
-					opts.PrefetchBuffer = s
-					tw, err := c.memoRun(fmt.Sprintf("buf%d/%s", s, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("twig", 0, opts)
-					})
-					if err != nil {
-						return err
-					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					tws = append(tws, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
-				}
-				t.Row(s, metrics.Mean(tws))
-			}
-			_, err := fmt.Fprint(c.Out, t.String())
-			return err
+			return c.twigSweep("buffer entries", []int{8, 16, 32, 64, 128, 256}, func(o *core.Options, s int) { o.PrefetchBuffer = s })
 		},
 	})
 
@@ -136,38 +109,7 @@ func init() {
 		Title: "% of ideal-BTB speedup vs prefetch distance (0-50 cycles)",
 		Paper: "best at 15-25 cycles: too small is untimely, too large discards accurate predecessors",
 		Run: func(c *Context) error {
-			distances := []float64{0, 5, 10, 15, 20, 25, 30, 40, 50}
-			t := metrics.NewTable("distance (cycles)", "twig % of ideal")
-			for _, d := range distances {
-				var tws []float64
-				for _, app := range c.SweepApps() {
-					base, err := c.Scheme(app, 0, "baseline")
-					if err != nil {
-						return err
-					}
-					ideal, err := c.Scheme(app, 0, "ideal")
-					if err != nil {
-						return err
-					}
-					tw, err := c.memoRun(fmt.Sprintf("dist%.0f/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.PrefetchDistance = d
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
-					if err != nil {
-						return err
-					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					tws = append(tws, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
-				}
-				t.Row(fmt.Sprintf("%.0f", d), metrics.Mean(tws))
-			}
-			_, err := fmt.Fprint(c.Out, t.String())
-			return err
+			return c.twigSweep("distance (cycles)", []int{0, 5, 10, 15, 20, 25, 30, 40, 50}, func(o *core.Options, d int) { o.Opt.PrefetchDistance = float64(d) })
 		},
 	})
 
@@ -176,38 +118,7 @@ func init() {
 		Title: "% of ideal-BTB speedup vs coalesce bitmask width (1-64 bits)",
 		Paper: "an 8-bit mask captures most of the benefit",
 		Run: func(c *Context) error {
-			widths := []int{1, 2, 4, 8, 16, 32, 64}
-			t := metrics.NewTable("mask bits", "twig % of ideal")
-			for _, w := range widths {
-				var tws []float64
-				for _, app := range c.SweepApps() {
-					base, err := c.Scheme(app, 0, "baseline")
-					if err != nil {
-						return err
-					}
-					ideal, err := c.Scheme(app, 0, "ideal")
-					if err != nil {
-						return err
-					}
-					tw, err := c.memoRun(fmt.Sprintf("mask%d/%s", w, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.CoalesceMaskBits = w
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
-					if err != nil {
-						return err
-					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					tws = append(tws, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
-				}
-				t.Row(w, metrics.Mean(tws))
-			}
-			_, err := fmt.Fprint(c.Out, t.String())
-			return err
+			return c.twigSweep("mask bits", []int{1, 2, 4, 8, 16, 32, 64}, func(o *core.Options, w int) { o.Opt.CoalesceMaskBits = w })
 		},
 	})
 
@@ -223,26 +134,14 @@ func init() {
 				for _, app := range c.SweepApps() {
 					opts := c.Opts
 					opts.Pipeline.FTQSize = d
-					base, err := c.memoRun(fmt.Sprintf("ftq%d-base/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("baseline", 0, opts)
-					})
+					// Every depth runs the context's binary, trained at
+					// the default depth.
+					runs, err := c.schemesUnder(app, 0, opts, runner.Training{Opts: c.Opts}, "baseline", "ideal", "twig")
 					if err != nil {
 						return err
 					}
-					ideal, err := c.memoRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("ideal", 0, opts)
-					})
-					if err != nil {
-						return err
-					}
-					tw, err := c.memoRun(fmt.Sprintf("ftq%d-twig/%s", d, app), c.art(app, 0), func(a *core.Artifacts) (*r, error) {
-						return a.RunScheme("twig", 0, opts)
-					})
-					if err != nil {
-						return err
-					}
-					idealSp := metrics.Speedup(base.IPC(), ideal.IPC())
-					tws = append(tws, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
+					base := runs["baseline"].IPC()
+					tws = append(tws, metrics.PercentOfIdeal(metrics.Speedup(base, runs["twig"].IPC()), metrics.Speedup(base, runs["ideal"].IPC())))
 				}
 				t.Row(d, metrics.Mean(tws))
 			}
@@ -250,4 +149,32 @@ func init() {
 			return err
 		},
 	})
+}
+
+// twigSweep renders a one-column table of Twig's % of ideal-BTB speedup,
+// averaged over the sweep apps, with one row per value of a knob that
+// set applies to the context's options. Each point trains under its own
+// options: a knob training does not read runs on the context's binary,
+// and one only the analysis reads re-analyzes the context's profile.
+func (c *Context) twigSweep(knob string, values []int, set func(*core.Options, int)) error {
+	t := metrics.NewTable(knob, "twig % of ideal")
+	for _, v := range values {
+		var tws []float64
+		for _, app := range c.SweepApps() {
+			opts := c.Opts
+			set(&opts, v)
+			tw, err := c.schemeUnder(app, 0, opts, runner.Training{Opts: opts}, "twig")
+			if err != nil {
+				return err
+			}
+			pct, err := c.percentOfIdeal(app, tw)
+			if err != nil {
+				return err
+			}
+			tws = append(tws, pct)
+		}
+		t.Row(v, metrics.Mean(tws))
+	}
+	_, err := fmt.Fprint(c.Out, t.String())
+	return err
 }

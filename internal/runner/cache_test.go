@@ -118,9 +118,22 @@ func TestCacheableRejectsTelemetry(t *testing.T) {
 		t.Fatal("options with a metrics registry must not be cacheable")
 	}
 	o = core.DefaultOptions()
-	o.Pipeline.Telemetry.Tracer = telemetry.NewTracer(io.Discard)
+	o.Telemetry.Tracer = telemetry.NewTracer(io.Discard)
 	if Cacheable(o) {
 		t.Fatal("options with a tracer must not be cacheable")
+	}
+	o = core.DefaultOptions()
+	o.Pipeline.Sink = telemetry.NopSink{}
+	if Cacheable(o) {
+		t.Fatal("options with an event sink must not be cacheable")
+	}
+	o = core.DefaultOptions()
+	o.Telemetry.EpochLength = 10_000
+	if !Cacheable(o) {
+		t.Fatal("an epoch length alone must stay cacheable")
+	}
+	if HashSim("twig/cassandra/0", o) == HashSim("twig/cassandra/0", core.DefaultOptions()) {
+		t.Fatal("the epoch length a run samples at must reach the content hash")
 	}
 }
 

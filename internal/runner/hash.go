@@ -27,10 +27,11 @@ import (
 // simulation's Result bytes — the scheme instance (job keys name the
 // scheme), the event sink, and telemetry outputs — are excluded (see
 // pipeline.Config.Canonical); the epoch length is included because it
-// shapes Result.Series.
+// shapes Result.Series. It is read from o.Telemetry, the one a run
+// samples at: the core overwrites the machine's own Telemetry with it.
 func CanonicalOptions(o core.Options) string {
 	s := fmt.Sprintf("pipeline{%s}|epoch=%d|btb{%+v}|opt{%+v}|pbuf=%d|sample=%d|profins=%d",
-		o.Pipeline.Canonical(), o.Pipeline.Telemetry.EpochLength, o.BTB, o.Opt, o.PrefetchBuffer, o.SampleRate, o.ProfileInstructions)
+		o.Pipeline.Canonical(), o.Telemetry.EpochLength, o.BTB, o.Opt, o.PrefetchBuffer, o.SampleRate, o.ProfileInstructions)
 	// The interval-sampling spec is appended only when set: exact runs
 	// ignore it entirely, and the unconditional rendering would shift
 	// every existing content hash, invalidating warm caches wholesale.
@@ -42,12 +43,9 @@ func CanonicalOptions(o core.Options) string {
 }
 
 // Cacheable reports whether runs under these options may be served
-// from the cache: a run with an attached registry or tracer has
-// observable side effects a cache hit would silently skip.
-func Cacheable(o core.Options) bool {
-	return o.Telemetry.Registry == nil && o.Telemetry.Tracer == nil &&
-		o.Pipeline.Telemetry.Registry == nil && o.Pipeline.Telemetry.Tracer == nil
-}
+// from the cache: a run with an attached observer (core.Observed) has
+// side effects a cache hit would silently skip.
+func Cacheable(o core.Options) bool { return !core.Observed(o) }
 
 func hash(parts ...string) string {
 	h := sha256.New()

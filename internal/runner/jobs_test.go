@@ -43,7 +43,7 @@ func TestSchemesSharesSoloIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := r.Schemes(ctx, art, app, 0, []string{"baseline", "ideal"}, opts)
+	got, err := r.Schemes(ctx, app, 0, []string{"baseline", "ideal"}, opts, Training{Opts: opts}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@
 //
 // It has three clients: the experiment harness (internal/experiments),
 // the twig facade's RunMatrix, and twigd fleet workers. All three run
-// a cached scheme the same way — a job listing its ArtifactsJob in Deps,
-// with its identity from SchemeMember, resolved through Runner.Schemes
+// a cached scheme the same way — a job listing its TrainingJob in Deps,
+// with its identity from TableMembers, resolved through Runner.Schemes
 // — so their memo entries and cache envelopes interoperate. See
 // DESIGN.md for the job model.
 package runner

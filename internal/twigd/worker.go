@@ -167,16 +167,15 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 }
 
 // runSpec executes one spec through the runner: one Runner.Schemes
-// call over the input-0 artifacts, the same call the local execution
-// paths (experiments Context, facade RunMatrix) make, so the cache
-// entries the remote tier receives are indistinguishable from locally
-// computed ones.
+// call at the spec's options, trained on input 0 under them, the same
+// call the local execution paths (experiments Context, facade
+// RunMatrix) make, so the cache entries the remote tier receives are
+// indistinguishable from locally computed ones.
 func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	opts := spec.Config.Options()
-	art := runner.ArtifactsJob(spec.App, 0, opts, "")
-	_, err := run.Schemes(ctx, art, spec.App, spec.Input, spec.Schemes, opts)
+	_, err := run.Schemes(ctx, spec.App, spec.Input, spec.Schemes, opts, runner.Training{Opts: opts}, opts)
 	return err
 }

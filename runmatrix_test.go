@@ -61,3 +61,35 @@ func TestRunMatrixUnknownScheme(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// TestRunMatrixEpochReachesCacheKey is the warm-cache regression for
+// the epoch length: a run that samples epochs is not served the cache
+// entry of the same run without them, and so returns the series a cold
+// run does.
+func TestRunMatrixEpochReachesCacheKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates several windows")
+	}
+	apps, schemes := []App{Verilator}, []string{"baseline"}
+	dir := t.TempDir()
+	if _, err := RunMatrix(matrixConfig(dir, 1), apps, schemes, nil); err != nil {
+		t.Fatal(err)
+	}
+	epochs := func(dir string) []EpochStats {
+		t.Helper()
+		cfg := matrixConfig(dir, 1)
+		cfg.Epoch = 10_000
+		got, err := RunMatrix(cfg, apps, schemes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got[MatrixKey{Verilator, "baseline", 0}].Epochs
+	}
+	cold, warm := epochs(t.TempDir()), epochs(dir)
+	if len(cold) != 5 {
+		t.Fatalf("a cold 50k-instruction run at a 10k epoch sampled %d epochs, want 5", len(cold))
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("over a cache warmed without epochs, the run sampled %d epochs, want the cold run's %d", len(warm), len(cold))
+	}
+}

@@ -672,8 +672,7 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 		wg.Add(1)
 		go func(i int, p point) {
 			defer wg.Done()
-			art := runner.ArtifactsJob(p.app, 0, opts, "")
-			vals[i], errs[i] = run.Schemes(ctx, art, p.app, p.input, schemes, opts)
+			vals[i], errs[i] = run.Schemes(ctx, p.app, p.input, schemes, opts, runner.Training{Opts: opts}, opts)
 		}(i, p)
 	}
 	wg.Wait()
