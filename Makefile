@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzBuild -fuzztime=20s
 	$(GO) test ./internal/runner -run='^$$' -fuzz=FuzzDecode -fuzztime=20s
 	$(GO) test ./internal/u64table -run='^$$' -fuzz=FuzzTable -fuzztime=20s
+	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzFlights -fuzztime=20s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s
 	$(GO) test ./internal/btb -run='^$$' -fuzz=FuzzHierarchy -fuzztime=20s
 	$(GO) test ./internal/twigopt -run='^$$' -fuzz=FuzzAnalyzeEquivalence -fuzztime=20s

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -47,14 +48,54 @@ type groupedResult struct {
 	Speedup float64  `json:"speedup_vs_serial"`
 }
 
-// benchFile is the persisted BENCH_pipeline.json payload. Grouped is
-// optional so files written before the grouped metric existed still
-// load (and -check against them still works); readers likewise ignore
-// the extra key.
+// machine identifies the hardware and toolchain a file was measured
+// on: throughput numbers compare only between like machines.
+type machine struct {
+	CPU         string `json:"cpu"`
+	LogicalCPUs int    `json:"logical_cpus"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	GoVersion   string `json:"go_version"`
+}
+
+// thisMachine stamps the running process's machine.
+func thisMachine() *machine {
+	return &machine{
+		CPU:         cpuModel(),
+		LogicalCPUs: runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
+	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or the
+// architecture where that file does not exist.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
+}
+
+// String renders the stamp for the table header.
+func (m *machine) String() string {
+	return fmt.Sprintf("%s, %d logical CPUs, GOMAXPROCS %d, %s", m.CPU, m.LogicalCPUs, m.GOMAXPROCS, m.GoVersion)
+}
+
+// benchFile is the persisted BENCH_pipeline.json payload. Grouped and
+// Machine are optional so files written before those fields existed
+// still load (and -check against them still works); readers likewise
+// ignore the extra keys.
 type benchFile struct {
 	Benchmark    string         `json:"benchmark"`
 	App          string         `json:"app"`
 	Instructions int64          `json:"instructions"`
+	Machine      *machine       `json:"machine,omitempty"`
 	Results      []benchResult  `json:"results"`
 	Grouped      *groupedResult `json:"grouped,omitempty"`
 }
@@ -114,7 +155,7 @@ func main() {
 			}
 		}
 		if *update {
-			out := benchFile{Benchmark: "pipeline", App: string(app), Instructions: *instructions, Results: results, Grouped: grouped}
+			out := benchFile{Benchmark: "pipeline", App: string(app), Instructions: *instructions, Machine: thisMachine(), Results: results, Grouped: grouped}
 			data, err := json.MarshalIndent(out, "", "  ")
 			if err != nil {
 				fatal(err)
@@ -245,6 +286,7 @@ func printJSON(app twig.App, instructions int64, results []benchResult, grouped 
 		Benchmark:    "pipeline",
 		App:          string(app),
 		Instructions: instructions,
+		Machine:      thisMachine(),
 		Results:      results,
 		Grouped:      grouped,
 	}}
@@ -268,7 +310,14 @@ func printJSON(app twig.App, instructions int64, results []benchResult, grouped 
 // speedup over the serial per-scheme sum.
 func printTable(app twig.App, instructions int64, results []benchResult, grouped *groupedResult, old *benchFile) {
 	comparable := old != nil && old.App == string(app) && old.Instructions == instructions
-	fmt.Printf("%s (%d instructions)\n", app, instructions)
+	fmt.Printf("%s (%d instructions) on %v\n", app, instructions, thisMachine())
+	if comparable {
+		from := "an unstamped machine"
+		if old.Machine != nil {
+			from = old.Machine.String()
+		}
+		fmt.Printf("  baseline file measured on %s\n", from)
+	}
 	for _, r := range results {
 		line := fmt.Sprintf("  %-10s %12d ns/op  %10.0f sim-kIPS", r.Scheme, r.NsPerOp, r.SimKIPS)
 		if comparable {

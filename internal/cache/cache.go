@@ -85,15 +85,33 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Lookup reports whether line is present, updating recency on hit and
-// demand counters always.
-func (c *Cache) Lookup(line uint64) bool {
+// Access performs a demand access: it counts the access, refreshes a
+// present line's recency, and on a miss counts the miss and fills the
+// line. It reports whether line was present.
+func (c *Cache) Access(line uint64) bool {
 	c.Accesses++
-	if c.touch(line) {
-		return true
+	i, hit := c.way(line)
+	if !hit {
+		c.Misses++
+		c.tags[i] = line
 	}
-	c.Misses++
-	return false
+	c.clock++
+	c.stamp[i] = c.clock
+	return hit
+}
+
+// Fill brings line in without counting a demand access. A present line
+// is left as it is, recency included, and Fill reports false; otherwise
+// it reports true.
+func (c *Cache) Fill(line uint64) bool {
+	i, hit := c.way(line)
+	if hit {
+		return false
+	}
+	c.clock++
+	c.tags[i] = line
+	c.stamp[i] = c.clock
+	return true
 }
 
 // Probe reports presence without updating recency or counters.
@@ -107,39 +125,33 @@ func (c *Cache) Probe(line uint64) bool {
 	return false
 }
 
-// touch updates recency if present.
-func (c *Cache) touch(line uint64) bool {
+// way looks line up with one scan of its set's tags. It returns line's
+// slot and true when line is present; otherwise it returns the slot a
+// fill takes, the set's first invalid way or else its first way with
+// the lowest LRU stamp, and false. The stamps are read only on a miss
+// in a full set, so a hit costs no more than a presence probe.
+func (c *Cache) way(line uint64) (int, bool) {
 	base := int(line&c.setMask) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.clock++
-			c.stamp[base+w] = c.clock
-			return true
+	free := -1
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			return base + w, true
+		}
+		if tag == invalidTag && free < 0 {
+			free = w
 		}
 	}
-	return false
-}
-
-// Insert fills line, evicting the LRU way of its set if needed. It is
-// idempotent for a present line (recency refresh).
-func (c *Cache) Insert(line uint64) {
-	if c.touch(line) {
-		return
+	if free >= 0 {
+		return base + free, false
 	}
-	base := int(line&c.setMask) * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == invalidTag {
-			victim = base + w
-			break
-		}
-		if c.stamp[base+w] < c.stamp[victim] {
-			victim = base + w
+	stamps := c.stamp[base : base+c.ways]
+	victim := 0
+	for w, s := range stamps {
+		if s < stamps[victim] {
+			victim = w
 		}
 	}
-	c.clock++
-	c.tags[victim] = line
-	c.stamp[victim] = c.clock
+	return base + victim, false
 }
 
 // Hierarchy is the instruction-side path: L1i backed by unified L2 and
@@ -178,35 +190,32 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Fetch performs a demand access for line, filling all levels on the
 // way in, and returns the latency beyond an L1 hit (0 for an L1 hit).
 func (h *Hierarchy) Fetch(line uint64) float64 {
-	if h.L1.Lookup(line) {
+	if h.L1.Access(line) {
 		return 0
 	}
-	lat := h.level23(line)
-	h.L1.Insert(line)
-	return lat
+	return h.level23(line)
 }
 
 // Prefetch brings line toward L1 without counting a demand access, and
-// returns the fill latency the prefetch will take (0 if already in L1).
-// Callers use the latency to decide when the prefetch completes.
+// returns the fill latency the prefetch will take (0 if already in L1,
+// in which case nothing changes). Callers use the latency to decide
+// when the prefetch completes.
 func (h *Hierarchy) Prefetch(line uint64) float64 {
-	if h.L1.Probe(line) {
+	if !h.L1.Fill(line) {
 		return 0
 	}
-	lat := h.level23(line)
-	h.L1.Insert(line)
-	return lat
+	return h.level23(line)
 }
 
+// level23 serves an L1 miss from L2, L3 or memory, filling each level
+// that missed. The levels are independent caches, so filling L1 before
+// them leaves the same state as filling it after.
 func (h *Hierarchy) level23(line uint64) float64 {
-	if h.L2.Lookup(line) {
+	if h.L2.Access(line) {
 		return h.L2Lat
 	}
-	if h.L3.Lookup(line) {
-		h.L2.Insert(line)
+	if h.L3.Access(line) {
 		return h.L3Lat
 	}
-	h.L3.Insert(line)
-	h.L2.Insert(line)
 	return h.MemLat
 }

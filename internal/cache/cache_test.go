@@ -21,12 +21,11 @@ func TestConfigGeometry(t *testing.T) {
 
 func TestLookupInsert(t *testing.T) {
 	c := New(Config{SizeBytes: 8 * LineBytes, Ways: 2}) // 4 sets x 2 ways
-	if c.Lookup(5) {
+	if c.Access(5) {
 		t.Fatal("hit in an empty cache")
 	}
-	c.Insert(5)
-	if !c.Lookup(5) {
-		t.Fatal("miss after insert")
+	if !c.Access(5) {
+		t.Fatal("a demand miss did not fill the line")
 	}
 	if c.Accesses != 2 || c.Misses != 1 {
 		t.Fatalf("counters: accesses=%d misses=%d, want 2/1", c.Accesses, c.Misses)
@@ -35,7 +34,7 @@ func TestLookupInsert(t *testing.T) {
 
 func TestProbeDoesNotCount(t *testing.T) {
 	c := New(Config{SizeBytes: 8 * LineBytes, Ways: 2})
-	c.Insert(1)
+	c.Fill(1)
 	before := c.Accesses
 	if !c.Probe(1) || c.Probe(2) {
 		t.Fatal("Probe gave wrong presence")
@@ -48,10 +47,10 @@ func TestProbeDoesNotCount(t *testing.T) {
 func TestLRUWithinSet(t *testing.T) {
 	// 1 set x 2 ways: lines 0 and 4... all map to set (line & 0).
 	c := New(Config{SizeBytes: 2 * LineBytes, Ways: 2}) // 1 set, 2 ways
-	c.Insert(10)
-	c.Insert(20)
-	c.Lookup(10) // make 10 most recent
-	c.Insert(30) // evicts 20 (LRU)
+	c.Fill(10)
+	c.Fill(20)
+	c.Access(10) // make 10 most recent
+	c.Fill(30)   // evicts 20 (LRU)
 	if !c.Probe(10) {
 		t.Fatal("recently used line evicted")
 	}
@@ -63,18 +62,27 @@ func TestLRUWithinSet(t *testing.T) {
 	}
 }
 
+// TestInsertIdempotent pins that filling a present line changes
+// nothing, recency included: a prefetch of a resident line must not
+// protect it from eviction.
 func TestInsertIdempotent(t *testing.T) {
 	c := New(Config{SizeBytes: 2 * LineBytes, Ways: 2})
-	c.Insert(1)
-	c.Insert(1)
-	c.Insert(2)
+	if !c.Fill(1) || c.Fill(1) || !c.Fill(2) {
+		t.Fatal("Fill misreported whether it filled")
+	}
 	if !c.Probe(1) || !c.Probe(2) {
-		t.Fatal("duplicate insert displaced a line")
+		t.Fatal("duplicate fill displaced a line")
+	}
+	c.Fill(1) // present: recency unchanged, so 1 stays the LRU way
+	c.Fill(3)
+	if c.Probe(1) || !c.Probe(2) || !c.Probe(3) {
+		t.Fatal("filling a present line refreshed its recency")
 	}
 }
 
 // TestCacheMatchesReferenceModel cross-checks the set-associative LRU
-// against a naive per-set reference implementation on random streams.
+// against a naive per-set reference implementation on random streams
+// of demand accesses and fills.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	type refSet struct{ lines []uint64 }              // most recent last
 	cfg := Config{SizeBytes: 16 * LineBytes, Ways: 4} // 4 sets x 4 ways
@@ -88,14 +96,18 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			x ^= x >> 7
 			x ^= x << 17
 			line := x % 64
+			demand := x>>32&3 != 0
 			si := int(line) % cfg.Sets()
 			rs := &sets[si]
-			// reference lookup
+			// reference lookup: a demand hit moves the line to most
+			// recent, a fill of a present line leaves it where it is
 			refHit := false
 			for i, l := range rs.lines {
 				if l == line {
 					refHit = true
-					rs.lines = append(append(rs.lines[:i:i], rs.lines[i+1:]...), line)
+					if demand {
+						rs.lines = append(append(rs.lines[:i:i], rs.lines[i+1:]...), line)
+					}
 					break
 				}
 			}
@@ -105,11 +117,19 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				}
 				rs.lines = append(rs.lines, line)
 			}
-			if got := c.Lookup(line); got != refHit {
+			if demand {
+				if got := c.Access(line); got != refHit {
+					return false
+				}
+			} else if filled := c.Fill(line); filled == refHit {
 				return false
 			}
-			if !refHit {
-				c.Insert(line)
+		}
+		for si := range sets {
+			for _, l := range sets[si].lines {
+				if !c.Probe(l) {
+					return false
+				}
 			}
 		}
 		return true

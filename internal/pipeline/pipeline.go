@@ -52,7 +52,6 @@ import (
 	"twig/internal/prefetcher"
 	"twig/internal/program"
 	"twig/internal/telemetry"
-	"twig/internal/u64table"
 )
 
 // Config parameterizes one simulation run.
@@ -316,7 +315,7 @@ func newSimulator(p *program.Program, src exec.Source, cfg Config) (*simulator, 
 		rob:    make([]float64, cfg.ROBSize),
 		batch:  make([]exec.Step, batchSlab),
 	}
-	sim.inflight.Grow(64)
+	sim.inflight = nextLineFlights(p, cfg.NextLinePrefetch)
 	scheme.Attach(sim)
 	sim.setupTelemetry()
 	sim.lastLine = ^uint64(0)
@@ -388,11 +387,6 @@ func (sim *simulator) finish() (*Result, error) {
 	return &res, nil
 }
 
-// fill records an in-flight cache-line prefetch.
-type fill struct {
-	issue, ready float64
-}
-
 // simulator carries the per-run state. It implements
 // prefetcher.Frontend for the scheme's callbacks.
 type simulator struct {
@@ -423,10 +417,10 @@ type simulator struct {
 	// times, so a demand access racing a next-line prefetch pays only
 	// the remaining latency — and no more than FDIP's own prefetch of
 	// the same line (issued at the BPU clock) would have cost, since
-	// the MSHR merges requesters and the earliest issue wins. It is an
-	// open-addressed table, not a map: it is probed for every new line
-	// the fetch engine touches (MSHR-style, see DESIGN.md §8).
-	inflight u64table.Table[fill]
+	// the MSHR merges requesters and the earliest issue wins. It is
+	// indexed by line, not hashed: it is probed for every new line the
+	// fetch engine touches (MSHR-style, see DESIGN.md §8).
+	inflight flights
 
 	// reso is the scratch Resolution passed to the scheme each branch.
 	// It lives on the simulator so the per-branch &reso interface call
@@ -628,8 +622,7 @@ func (s *simulator) runTo(total int64) error {
 				// next-line prefetch: pay the remainder, capped by when
 				// FDIP's own request (issued at the BPU clock, or at the
 				// resteer discovery) would have completed.
-				if f, ok := s.inflight.Get(line); ok {
-					s.inflight.Delete(line)
+				if f, ok := s.inflight.take(line); ok {
 					ready := f.ready
 					if cfg.FDIP {
 						issue := bpuTime
@@ -681,27 +674,22 @@ func (s *simulator) runTo(total int64) error {
 			if cfg.NextLinePrefetch > 0 && !cfg.IdealICache {
 				// Sequential next-line prefetcher: issue fills for the
 				// following lines now; a demand access arriving before a
-				// fill completes pays only the remainder (inflight map).
+				// fill completes pays only the remainder (inflight). A
+				// line already in L1 needs no probe first: Prefetch
+				// returns 0 for it and changes nothing.
 				for d := 1; d <= cfg.NextLinePrefetch; d++ {
 					nl := line + uint64(d)
-					if s.hier.L1.Probe(nl) {
-						continue
-					}
-					if s.inflight.Contains(nl) {
+					if s.inflight.contains(nl) {
 						continue
 					}
 					if plat := s.hier.Prefetch(nl); plat > 0 {
-						if s.inflight.Len() > 8192 {
+						if s.inflight.count() > 8192 {
 							// Prune completed fills that were never
-							// demanded, so the tracking table stays
-							// bounded on long runs. cut is a copy so the
-							// closure captures no addressable local.
-							cut := fstart
-							s.inflight.DeleteFunc(func(_ uint64, f fill) bool {
-								return f.ready < cut
-							})
+							// demanded, so the tracker's count stays
+							// bounded on long runs.
+							s.inflight.prune(fstart)
 						}
-						s.inflight.Put(nl, fill{issue: fstart, ready: fstart + plat})
+						s.inflight.put(nl, fill{issue: fstart, ready: fstart + plat})
 					}
 				}
 			}

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"twig/internal/cache"
 	"twig/internal/checkpoint"
@@ -169,13 +168,8 @@ func (s *simulator) fastForward(total int64) error {
 				s.scheme.OnLineMiss(line, s.fetchC)
 			}
 			s.scheme.OnFetchLine(line, s.fetchC)
-			if cfg.NextLinePrefetch > 0 {
-				for d := 1; d <= cfg.NextLinePrefetch; d++ {
-					nl := line + uint64(d)
-					if !s.hier.L1.Probe(nl) {
-						s.hier.Prefetch(nl)
-					}
-				}
+			for d := 1; d <= cfg.NextLinePrefetch; d++ {
+				s.hier.Prefetch(line + uint64(d))
 			}
 		}
 
@@ -286,25 +280,7 @@ func (m *Sim) Checkpoint() ([]byte, error) {
 	w.I64(s.warmL1Acc)
 	w.I64(s.warmL1Miss)
 	w.F64(s.warmCycles)
-
-	// In-flight next-line fills, in ascending line order so identical
-	// states always produce identical bytes.
-	type flightRec struct {
-		line         uint64
-		issue, ready float64
-	}
-	flights := make([]flightRec, 0, s.inflight.Len())
-	s.inflight.Range(func(line uint64, f fill) bool {
-		flights = append(flights, flightRec{line, f.issue, f.ready})
-		return true
-	})
-	sort.Slice(flights, func(i, j int) bool { return flights[i].line < flights[j].line })
-	w.Len(len(flights))
-	for _, f := range flights {
-		w.U64(f.line)
-		w.F64(f.issue)
-		w.F64(f.ready)
-	}
+	s.inflight.save(w)
 	return w.Finish(), nil
 }
 
@@ -438,8 +414,6 @@ func ResumeSim(p *program.Program, src exec.Source, cfg Config, data []byte) (*S
 	s.warmL1Acc = r.I64()
 	s.warmL1Miss = r.I64()
 	s.warmCycles = r.F64()
-
-	nf := r.Len()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -449,20 +423,14 @@ func ResumeSim(p *program.Program, src exec.Source, cfg Config, data []byte) (*S
 	if robHead < 0 || robHead >= len(s.rob) || robLen < 0 || robLen > len(s.rob) {
 		return nil, fmt.Errorf("pipeline: checkpoint ROB cursor out of range")
 	}
-	if nf < 0 {
-		return nil, fmt.Errorf("pipeline: checkpoint in-flight fill count negative")
-	}
 	s.ftqHead, s.ftqLen = ftqHead, ftqLen
 	s.robHead, s.robLen = robHead, robLen
 	s.warmed = warmed
 	if warmed {
 		s.armSink()
 	}
-	s.inflight.Clear()
-	for i := 0; i < nf; i++ {
-		line := r.U64()
-		f := fill{issue: r.F64(), ready: r.F64()}
-		s.inflight.Put(line, f)
+	if err := s.inflight.restore(r); err != nil {
+		return nil, err
 	}
 	if err := r.Close(); err != nil {
 		return nil, err

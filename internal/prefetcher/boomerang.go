@@ -2,7 +2,6 @@ package prefetcher
 
 import (
 	"twig/internal/btb"
-	"twig/internal/cache"
 	"twig/internal/isa"
 )
 
@@ -26,8 +25,6 @@ type Boomerang struct {
 	// i.e. when fetch has moved on — so a predecoded entry can never
 	// satisfy the very lookup whose miss caused its line to be fetched.
 	prevLine uint64
-
-	scratch []int32
 }
 
 // NewBoomerang builds the scheme over the given BTB geometry.
@@ -75,9 +72,7 @@ func (s *Boomerang) OnFetchLine(line uint64, cycle float64) {
 		return
 	}
 	p := s.fe.Program()
-	lineAddr := decoded << cache.LineShift
-	s.scratch = p.BranchesInRange(lineAddr, lineAddr+cache.LineBytes, s.scratch[:0])
-	for _, idx := range s.scratch {
+	for _, idx := range p.LineBranches(decoded, decoded+1) {
 		in := &p.Instrs[idx]
 		if s.b.probe(in.PC) >= 0 {
 			s.pf.Redundant++

@@ -2,6 +2,7 @@ package prefetcher
 
 import (
 	"twig/internal/btb"
+	"twig/internal/cache"
 	"twig/internal/isa"
 )
 
@@ -13,9 +14,9 @@ type BulkPreloadConfig struct {
 	// evicted and preloaded entries (backed by on-chip SRAM in the
 	// original design).
 	L2Entries, L2Ways int
-	// RegionBytes is the preload granularity: on an L1 miss, every L2
-	// entry whose branch PC falls in the missing branch's aligned
-	// region is moved up.
+	// RegionBytes is the preload granularity, a power of two of at
+	// least one cache line: on an L1 miss, every L2 entry whose branch
+	// PC falls in the missing branch's aligned region is moved up.
 	RegionBytes uint64
 	// PreloadLatency is the cycles before bulk-preloaded entries are
 	// usable (an L2-BTB access).
@@ -51,8 +52,6 @@ type BulkPreload struct {
 
 	stats btb.Stats
 	pf    PrefetchStats
-
-	scratch []int32
 }
 
 // NewBulkPreload builds the scheme.
@@ -105,8 +104,7 @@ func (s *BulkPreload) Lookup(pc uint64, kind isa.Kind, cycle float64, taken bool
 func (s *BulkPreload) preloadRegion(pc uint64) {
 	base := pc &^ (s.cfg.RegionBytes - 1)
 	p := s.fe.Program()
-	s.scratch = p.BranchesInRange(base, base+s.cfg.RegionBytes, s.scratch[:0])
-	for _, idx := range s.scratch {
+	for _, idx := range p.LineBranches(cache.LineOf(base), cache.LineOf(base+s.cfg.RegionBytes)) {
 		in := &p.Instrs[idx]
 		l2slot := s.l2.probe(in.PC)
 		if l2slot < 0 {

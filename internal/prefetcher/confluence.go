@@ -2,7 +2,6 @@ package prefetcher
 
 import (
 	"twig/internal/btb"
-	"twig/internal/cache"
 	"twig/internal/isa"
 )
 
@@ -56,8 +55,6 @@ type Confluence struct {
 	// lastPos maps a line to its most recent history position + 1
 	// (0 = absent).
 	lastPos map[uint64]int
-
-	scratch []int32
 }
 
 // NewConfluence builds the scheme.
@@ -139,9 +136,7 @@ func (c *Confluence) OnLineMiss(line uint64, cycle float64) {
 		}
 		next := c.history[pos]
 		c.fe.PrefetchLine(next, cycle)
-		lineAddr := next << cache.LineShift
-		c.scratch = p.BranchesInRange(lineAddr, lineAddr+cache.LineBytes, c.scratch[:0])
-		for _, idx := range c.scratch {
+		for _, idx := range p.LineBranches(next, next+1) {
 			in := &p.Instrs[idx]
 			if c.b.probe(in.PC) >= 0 {
 				c.pf.Redundant++

@@ -2,7 +2,6 @@ package prefetcher
 
 import (
 	"twig/internal/btb"
-	"twig/internal/cache"
 	"twig/internal/checkpoint"
 	"twig/internal/isa"
 )
@@ -49,8 +48,6 @@ type Shadow struct {
 
 	stats btb.Stats
 	pf    PrefetchStats
-
-	scratch []int32
 }
 
 // NewShadow builds the scheme.
@@ -103,9 +100,7 @@ func (s *Shadow) Resolve(r *Resolution) {
 // many repeat visits a hot line gets.
 func (s *Shadow) OnFetchLine(line uint64, cycle float64) {
 	p := s.fe.Program()
-	lineAddr := line << cache.LineShift
-	s.scratch = p.BranchesInRange(lineAddr, lineAddr+cache.LineBytes, s.scratch[:0])
-	for _, idx := range s.scratch {
+	for _, idx := range p.LineBranches(line, line+1) {
 		in := &p.Instrs[idx]
 		if !in.Kind.IsDirect() {
 			continue

@@ -73,8 +73,6 @@ type Shotgun struct {
 	// Fig. 12 accounting: conditional branches resolving outside the
 	// spatial range of the last unconditional target.
 	CondResolved, CondOutsideRange int64
-
-	scratch []int32
 }
 
 // shotgunFrame records one in-flight call for return-footprint
@@ -154,9 +152,7 @@ func (s *Shotgun) prefetchFootprint(base uint64, fp uint8, cycle float64) {
 		}
 		line := base + uint64(i)
 		s.fe.PrefetchLine(line, cycle)
-		lineAddr := line << cache.LineShift
-		s.scratch = s.fe.Program().BranchesInRange(lineAddr, lineAddr+cache.LineBytes, s.scratch[:0])
-		for _, idx := range s.scratch {
+		for _, idx := range p.LineBranches(line, line+1) {
 			in := &p.Instrs[idx]
 			if in.Kind != isa.KindCondBranch {
 				continue

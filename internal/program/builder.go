@@ -3,6 +3,7 @@ package program
 import (
 	"fmt"
 
+	"twig/internal/cache"
 	"twig/internal/isa"
 )
 
@@ -286,17 +287,28 @@ func (b *Builder) Link() (*Program, error) {
 	return p, nil
 }
 
-// finish recomputes derived state (text size, branch-by-PC index) after
-// a link or relink.
+// finish recomputes derived state (text size, branch-by-line table)
+// after a link or relink.
 func (p *Program) finish() {
 	p.TextBytes = p.EndPC() - p.BaseAddr + uint64(len(p.CoalesceTable)*isa.SizeCoalesceEntry)
-	p.branchPCs = p.branchPCs[:0]
 	p.branchIdxs = p.branchIdxs[:0]
 	for i := range p.Instrs {
 		if p.Instrs[i].Kind.IsDirect() {
-			p.branchPCs = append(p.branchPCs, p.Instrs[i].PC)
 			p.branchIdxs = append(p.branchIdxs, int32(i))
 		}
+	}
+	// lineStart[l] counts the direct branches before line firstLine+l;
+	// the text's lines are [firstLine, end).
+	p.firstLine = cache.LineOf(p.BaseAddr)
+	end := cache.LineOf(p.EndPC() + cache.LineBytes - 1)
+	p.lineStart = make([]int32, end-p.firstLine+1)
+	j := 0
+	for l := range p.lineStart {
+		lineAddr := (p.firstLine + uint64(l)) << cache.LineShift
+		for j < len(p.branchIdxs) && p.Instrs[p.branchIdxs[j]].PC < lineAddr {
+			j++
+		}
+		p.lineStart[l] = int32(j)
 	}
 }
 

@@ -152,10 +152,15 @@ type Program struct {
 
 	// idToIdx maps stable IDs to layout indexes.
 	idToIdx []int32
-	// branchPCs/branchIdxs index direct branches by PC for predecoders
-	// (Shotgun/Confluence) that need "all branches in this cache line".
-	branchPCs  []uint64
+	// branchIdxs lists the layout indexes of the direct branches, in
+	// layout order. lineStart indexes it by cache line for predecoders
+	// (Shotgun, Confluence, Shadow) that need "all branches in this
+	// line": the branches of line firstLine+l are
+	// branchIdxs[lineStart[l]:lineStart[l+1]] (a CSR layout, one
+	// offset per line of the text plus a closing one).
 	branchIdxs []int32
+	lineStart  []int32
+	firstLine  uint64
 }
 
 // IndexOf returns the current layout index for a stable ID.
@@ -219,29 +224,30 @@ func (p *Program) FindInstr(pc uint64) int32 {
 	return NoTarget
 }
 
-// BranchesInRange appends to dst the layout indexes of all direct
-// branches with PC in [lo, hi) and returns the extended slice. Hardware
-// predecoders (Shotgun, Confluence) use it to discover the branches in
-// prefetched cache lines.
-func (p *Program) BranchesInRange(lo, hi uint64, dst []int32) []int32 {
-	i := lowerBound(p.branchPCs, lo)
-	for ; i < len(p.branchPCs) && p.branchPCs[i] < hi; i++ {
-		dst = append(dst, p.branchIdxs[i])
+// LineBranches returns the layout indexes, in layout order, of the
+// direct branches whose PCs lie in cache lines [first, end) (line
+// addresses, as cache.LineOf gives them). Lines outside the text hold
+// none. Hardware predecoders (Shotgun, Confluence, Shadow) use it to
+// discover the branches in fetched or prefetched lines. The slice
+// shares the program's table and must not be modified.
+func (p *Program) LineBranches(first, end uint64) []int32 {
+	if end <= first {
+		return nil
 	}
-	return dst
+	lo, hi := p.lineOffset(first), p.lineOffset(end)
+	return p.branchIdxs[lo:hi:hi]
 }
 
-func lowerBound(a []uint64, x uint64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// lineOffset returns the index in branchIdxs of the first direct
+// branch at or after the start of line.
+func (p *Program) lineOffset(line uint64) int32 {
+	if line < p.firstLine {
+		return 0
 	}
-	return lo
+	if l := line - p.firstLine; l < uint64(len(p.lineStart)) {
+		return p.lineStart[l]
+	}
+	return int32(len(p.branchIdxs))
 }
 
 // KindCounts returns static instruction counts per kind.
@@ -255,5 +261,5 @@ func (p *Program) KindCounts() [isa.NumKinds]int64 {
 
 // StaticBranches returns the number of direct branch instructions.
 func (p *Program) StaticBranches() int {
-	return len(p.branchPCs)
+	return len(p.branchIdxs)
 }

@@ -86,23 +86,76 @@ func TestFindInstr(t *testing.T) {
 	}
 }
 
-func TestBranchesInRangeMatchesBruteForce(t *testing.T) {
-	p := randomProgram(t, 12345, 40)
-	lo, hi := p.BaseAddr+64, p.BaseAddr+512
-	var want []int32
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Kind.IsDirect() && in.PC >= lo && in.PC < hi {
-			want = append(want, int32(i))
+// TestLineBranchesMatchesBruteForce checks the per-line branch table
+// against a scan of every instruction: every line of an original, an
+// injected and a reordered program, the lines just outside the text,
+// and 4-line aligned regions (BulkPreload's default 256-byte region).
+func TestLineBranchesMatchesBruteForce(t *testing.T) {
+	orig := randomProgram(t, 12345, 40)
+	var plan InjectionPlan
+	for bi := 0; bi+1 < len(orig.Blocks); bi += 2 {
+		if br := orig.Instrs[orig.Blocks[bi+1].Last]; br.Kind.IsDirect() {
+			plan.Injections = append(plan.Injections, Injection{Block: orig.Blocks[bi].ID, Prefetches: []int32{br.ID}})
 		}
 	}
-	got := p.BranchesInRange(lo, hi, nil)
-	if len(got) != len(want) {
-		t.Fatalf("BranchesInRange found %d branches, want %d", len(got), len(want))
+	injected, err := orig.Inject(&plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("BranchesInRange[%d] = %d, want %d", i, got[i], want[i])
+	if injected.InjectedInstrs() == 0 {
+		t.Fatal("plan injected nothing")
+	}
+	order := make([]int32, len(orig.Funcs))
+	for i := range order {
+		order[i] = int32(len(order) - 1 - i)
+	}
+	reordered, err := orig.ReorderFunctions(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		p    *Program
+	}{{"original", orig}, {"injected", injected}, {"reordered", reordered}} {
+		p := tc.p
+		want := func(first, end uint64) []int32 {
+			var idxs []int32
+			for i := range p.Instrs {
+				in := &p.Instrs[i]
+				if line := in.PC >> 6; in.Kind.IsDirect() && line >= first && line < end {
+					idxs = append(idxs, int32(i))
+				}
+			}
+			return idxs
+		}
+		check := func(first, end uint64) {
+			t.Helper()
+			got, w := p.LineBranches(first, end), want(first, end)
+			if len(got) != len(w) {
+				t.Fatalf("%s: LineBranches(%#x, %#x) found %d branches, want %d", tc.name, first, end, len(got), len(w))
+			}
+			for i := range got {
+				if got[i] != w[i] {
+					t.Fatalf("%s: LineBranches(%#x, %#x)[%d] = %d, want %d", tc.name, first, end, i, got[i], w[i])
+				}
+			}
+		}
+		first, last := p.BaseAddr>>6, (p.EndPC()-1)>>6
+		for line := first - 2; line <= last+2; line++ {
+			check(line, line+1)
+		}
+		for base := first &^ 3; base <= last; base += 4 {
+			check(base, base+4)
+		}
+		check(0, first)
+		check(last+1, last+100)
+		check(first, last+1)
+		// The table is shared: appending to a result must not write it.
+		_ = append(p.LineBranches(first, first+1), -1)
+		check(first, first+2)
+		if got := len(p.LineBranches(first, last+1)); got != p.StaticBranches() {
+			t.Fatalf("%s: the whole text holds %d branches, StaticBranches = %d", tc.name, got, p.StaticBranches())
 		}
 	}
 }

@@ -10,9 +10,9 @@
 // simulator never uses — hash seeding, bucket/group indirection, and a
 // write barrier per stored pointerless value — and its delete leaves
 // dead slots that keep probe chains long. On the pipeline's
-// per-instruction path (the in-flight fill tracker, the BTB prefetch
-// buffer index, the 3C classifier's shadow index) those costs are paid
-// millions of times per simulated second. A flat linear-probed table
+// per-instruction path (the BTB prefetch buffer index, the 3C
+// classifier's shadow index) those costs are paid millions of times
+// per simulated second. A flat linear-probed table
 // keeps the whole probe in one or two cache lines, and backward-shift
 // deletion restores the table after every delete to exactly the state
 // it would have had if the deleted key had never been inserted — no

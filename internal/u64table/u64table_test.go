@@ -272,7 +272,7 @@ func TestTableDeterministicRange(t *testing.T) {
 }
 
 // BenchmarkTableChurn measures the steady-state insert+lookup+delete
-// cycle the inflight tracker performs per prefetched line; it must be
+// cycle the prefetch buffer index performs per staged entry; it must be
 // allocation-free.
 func BenchmarkTableChurn(b *testing.B) {
 	tb := New[int32](1024)
