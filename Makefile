@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check docs fuzz cover bench bench-check bench-update experiments ledger-demo fleet-demo clean
+.PHONY: all build test race vet fmt check docs fuzz cover bench bench-check experiments ledger-demo fleet-demo clean
 
 all: vet build test
 
@@ -54,22 +54,16 @@ cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 20
 
-# bench measures simulator throughput (ns/op and simulated kIPS) for
-# the three main schemes on the default 1M-instruction cassandra run
-# and prints the delta against the committed BENCH_pipeline.json; see
-# PERFORMANCE.md for the methodology.
+# bench writes the committed throughput trajectory, BENCH_perfbench.json:
+# perfbench's three workloads timed plus one traced schemes run, with
+# the machine stamp. See PERFORMANCE.md for when to rewrite it.
 bench:
-	$(GO) run ./cmd/twigbench -reps 5
+	./scripts/bench.sh record
 
-# bench-check fails if any scheme regresses >10% kIPS against the
-# committed baseline (the CI bench-regression job's local equivalent).
+# bench-check fails if perfbench's schemes sim_kips is more than 10%
+# below the merge-base with main (the CI bench-regression job's gate).
 bench-check:
-	$(GO) run ./cmd/twigbench -reps 5 -check -tolerance 0.10
-
-# bench-update rewrites BENCH_pipeline.json with this machine's
-# numbers; commit the result when the hot path deliberately changes.
-bench-update:
-	$(GO) run ./cmd/twigbench -reps 5 -update
+	./scripts/bench.sh compare "$$(git merge-base origin/main HEAD)"
 
 experiments:
 	$(GO) run ./cmd/experiments
@@ -111,7 +105,7 @@ fleet-demo:
 		-instructions 200000 -j 4 -cache "" \
 		-coordinator http://127.0.0.1:9090
 
-# BENCH_pipeline.json is a committed baseline (bench-update regenerates
-# it deliberately); clean only removes derived files.
+# BENCH_perfbench.json is committed (make bench rewrites it
+# deliberately); clean only removes derived files.
 clean:
 	rm -f coverage.out twig-ledger.jsonl twig-trace.json

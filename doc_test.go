@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,6 +149,35 @@ func TestMemoRunStaysOutsideTheTable(t *testing.T) {
 		sort.Strings(hits)
 		t.Errorf("%d table-scheme runs inside memoRun closures (run them through Context.schemesUnder instead):\n  %s",
 			len(hits), strings.Join(hits, "\n  "))
+	}
+}
+
+// TestDocsNameExistingCommands fails on a `cmd/<name>` in the documents,
+// the Makefile, CI or the verify skill that names no directory under
+// cmd/, so that a deleted command leaves no instructions behind.
+// CHANGES.md and ROADMAP.md are history and may name deleted commands.
+func TestDocsNameExistingCommands(t *testing.T) {
+	files := []string{
+		"README.md", "DESIGN.md", "PERFORMANCE.md", "TESTING.md", "SCHEMES.md", "EXPERIMENTS.md",
+		"Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+	}
+	cmdRef := regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
+	var stale []string
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range cmdRef.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
+					stale = append(stale, fmt.Sprintf("%s:%d: %s", f, i+1, m[0]))
+				}
+			}
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d mentions of commands that do not exist:\n  %s", len(stale), strings.Join(stale, "\n  "))
 	}
 }
 

@@ -189,12 +189,17 @@ func (c Config) simConfig() twigd.SimConfig {
 	}
 }
 
-func (c Config) options() core.Options {
+// options maps the Config onto core.Options, rejecting a BTB geometry
+// the simulator cannot build before anything runs.
+func (c Config) options() (core.Options, error) {
 	opts := c.simConfig().Options()
+	if err := opts.BTB.Validate(); err != nil {
+		return core.Options{}, fmt.Errorf("twig: %w", err)
+	}
 	if c.TraceWriter != nil {
 		opts.Telemetry.Tracer = telemetry.NewTracer(c.TraceWriter)
 	}
-	return opts
+	return opts, nil
 }
 
 // Result summarizes one simulation run.
@@ -356,7 +361,10 @@ func NewSystem(app App, cfg Config) (*System, error) {
 // training input (the paper's cross-input study trains on #0 and tests
 // on #1-#3).
 func NewSystemTrained(app App, trainInput int, cfg Config) (*System, error) {
-	opts := cfg.options()
+	opts, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
 	art, err := core.BuildAndOptimize(app, trainInput, opts)
 	if err != nil {
 		return nil, err
@@ -627,7 +635,10 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 			return nil, fmt.Errorf("twig: %w", err)
 		}
 	}
-	opts := cfg.options()
+	opts, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
 	dir := cfg.CacheDir
 	if dir == "" {
 		dir = runner.DefaultCacheDir()

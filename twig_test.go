@@ -193,6 +193,30 @@ func TestNewSystemUnknownApp(t *testing.T) {
 	}
 }
 
+// TestInvalidBTBGeometryIsAnError: a BTB geometry the simulator cannot
+// build comes back from NewSystem and RunMatrix as a twig: error before
+// anything is built, instead of a panic from inside the job DAG.
+func TestInvalidBTBGeometryIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  twig.Config
+	}{
+		{"250 sets", twig.Config{Instructions: 50_000, BTBEntries: 1000}},
+		{"3 ways", twig.Config{Instructions: 50_000, BTBWays: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := twig.NewSystem(twig.Cassandra, tc.cfg); err == nil || !strings.HasPrefix(err.Error(), "twig: btb: ") {
+				t.Errorf("NewSystem: got %v, want a twig: btb: error", err)
+			}
+			cfg := tc.cfg
+			cfg.CacheDir = t.TempDir()
+			if _, err := twig.RunMatrix(cfg, []twig.App{twig.Cassandra}, []string{"baseline"}, nil); err == nil || !strings.HasPrefix(err.Error(), "twig: btb: ") {
+				t.Errorf("RunMatrix: got %v, want a twig: btb: error", err)
+			}
+		})
+	}
+}
+
 // TestRunSchemesMatchesAccessors: grouped shared-stream simulation
 // returns exactly what single-scheme System.Run calls return, and the
 // Check configuration (sequential verified fallback) agrees too.
