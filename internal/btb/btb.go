@@ -186,11 +186,13 @@ func (b *BTB) Insert(pc, target uint64, kind isa.Kind) {
 	b.InsertEvict(pc, target, kind)
 }
 
-// InsertEvict is Insert plus the displaced entry's prior contents, for
-// wrappers that virtualize evictions (the two-level Hierarchy demotes
-// L1 victims into its last-level BTB). An in-place update or a fill
-// into an invalid way displaces nothing.
-func (b *BTB) InsertEvict(pc, target uint64, kind isa.Kind) (Entry, bool) {
+// InsertEvict is Insert plus what the fill did, for wrappers that
+// virtualize evictions (the two-level Hierarchy demotes L1 victims into
+// its last-level BTB): ev holds the displaced entry's prior contents
+// when displaced is set, and resident reports that pc was already
+// present and was updated in place. An in-place update or a fill into
+// an invalid way displaces nothing.
+func (b *BTB) InsertEvict(pc, target uint64, kind isa.Kind) (ev Entry, displaced, resident bool) {
 	base := b.index(pc)
 	victim := -1
 	oldest := base
@@ -202,7 +204,7 @@ func (b *BTB) InsertEvict(pc, target uint64, kind isa.Kind) (Entry, bool) {
 				b.clock++
 				b.stamp[base+w] = b.clock
 			}
-			return Entry{}, false
+			return Entry{}, false, true
 		}
 		if victim < 0 && b.pcs[base+w] == invalidPC {
 			victim = base + w
@@ -223,8 +225,7 @@ func (b *BTB) InsertEvict(pc, target uint64, kind isa.Kind) (Entry, bool) {
 			victim = oldest
 		}
 	}
-	var ev Entry
-	displaced := b.pcs[victim] != invalidPC
+	displaced = b.pcs[victim] != invalidPC
 	if displaced {
 		ev = Entry{PC: b.pcs[victim], Target: b.targets[victim], Kind: b.kinds[victim]}
 	}
@@ -233,7 +234,7 @@ func (b *BTB) InsertEvict(pc, target uint64, kind isa.Kind) (Entry, bool) {
 	b.targets[victim] = target
 	b.kinds[victim] = kind
 	b.stamp[victim] = b.clock
-	return ev, displaced
+	return ev, displaced, false
 }
 
 // Stats aggregates BTB demand behaviour per branch kind, maintained by

@@ -260,8 +260,16 @@ func (h *Hierarchy) Probe(pc uint64) bool {
 // standalone BTB would be, any last-level copy of pc is invalidated
 // (the L1 copy supersedes it), and a valid L1 victim is demoted into
 // the last level if its target delta compresses.
+//
+// So no pc is ever live at both levels: a fill invalidates the
+// last-level copy, a promotion consumes it, and demote writes only a
+// pc the L1 has just given up. A fill that updated a resident L1 entry
+// therefore has no last-level copy to find, and skips the probe.
 func (h *Hierarchy) Insert(pc, target uint64, kind isa.Kind) {
-	ev, displaced := h.l1.InsertEvict(pc, target, kind)
+	ev, displaced, resident := h.l1.InsertEvict(pc, target, kind)
+	if resident {
+		return
+	}
 	if e := h.llFind(pc); e >= 0 {
 		h.llRegion[e] = -1
 	}
@@ -270,7 +278,8 @@ func (h *Hierarchy) Insert(pc, target uint64, kind isa.Kind) {
 	}
 }
 
-// demote writes an L1 victim into the last level.
+// demote writes an L1 victim into the last level. The victim was live
+// in the L1 until this fill, so it has no live last-level copy.
 func (h *Hierarchy) demote(pc, target uint64, kind isa.Kind) {
 	delta := int64(target) - int64(pc)
 	if !isa.FitsSigned(delta, h.cfg.L2.DeltaBits) {
@@ -284,15 +293,6 @@ func (h *Hierarchy) demote(pc, target uint64, kind isa.Kind) {
 	oldest := base
 	for w := 0; w < h.llWays; w++ {
 		e := base + w
-		if h.llLive(e) && h.llRegion[e] == rs && h.llOff[e] == off {
-			// Same pc already resident: refresh in place.
-			h.llDelta[e] = int32(delta)
-			h.llKind[e] = kind
-			h.llClock++
-			h.llStamp[e] = h.llClock
-			h.Demotions++
-			return
-		}
 		if victim < 0 && !h.llLive(e) {
 			victim = e
 		}

@@ -88,7 +88,7 @@ func TestHierarchyNoEntryLost(t *testing.T) {
 		if op.lookup {
 			continue
 		}
-		ev, displaced := ref.InsertEvict(op.pc, op.target, op.kind)
+		ev, displaced, _ := ref.InsertEvict(op.pc, op.target, op.kind)
 		h.Insert(op.pc, op.target, op.kind)
 		inserted[op.pc] = op.target
 		if !h.Probe(op.pc) {
@@ -155,6 +155,57 @@ func TestHierarchyExclusive(t *testing.T) {
 	h.Insert(victim, victim+32, isa.KindJump)
 	if e := h.llFind(victim); e >= 0 {
 		t.Fatal("demand fill left a stale last-level copy")
+	}
+}
+
+// TestHierarchyNoPCAtBothLevels drives a random mix of L1 lookups,
+// last-level lookups and demand fills over a working set that churns
+// the small geometry's L1 sets, last-level sets and region table, with
+// a checkpoint round trip halfway, and requires after every operation
+// that no pc is live at both levels. Insert skips its last-level probe
+// when the fill updated a resident L1 entry, and demote writes its
+// victim without looking for a resident copy; both rely on this.
+func TestHierarchyNoPCAtBothLevels(t *testing.T) {
+	cfg := smallHierarchy()
+	h := NewHierarchy(cfg)
+	tape := hierTape(0x5EED, 6000)
+	r := rng.New(7)
+	for i, op := range tape {
+		if i == len(tape)/2 {
+			w := checkpoint.NewWriter()
+			if err := h.SaveState(w); err != nil {
+				t.Fatal(err)
+			}
+			rd, err := checkpoint.Open(w.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h = NewHierarchy(cfg)
+			if err := h.RestoreState(rd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch {
+		case !op.lookup:
+			h.Insert(op.pc, op.target, op.kind)
+		case r.Intn(2) == 0:
+			h.LookupL1(op.pc)
+		default:
+			h.LookupL2(op.pc)
+		}
+		for e := range h.llRegion {
+			if !h.llLive(e) {
+				continue
+			}
+			pc := h.regionBase[h.llRegion[e]]<<h.regionShift | uint64(h.llOff[e])
+			if h.l1.Probe(pc) {
+				t.Fatalf("op %d: pc %x is live in the L1 and the last level", i, pc)
+			}
+		}
+	}
+	if h.Demotions == 0 || h.Promotions == 0 || h.RegionEvictions == 0 {
+		t.Fatalf("tape did not exercise the hierarchy: %d demotions, %d promotions, %d region evictions",
+			h.Demotions, h.Promotions, h.RegionEvictions)
 	}
 }
 

@@ -123,60 +123,22 @@ func (e *Executor) Steps() int64 { return e.steps }
 
 // Next executes one instruction, filling st. It never returns false —
 // synthetic programs run forever (the dispatcher loops) — so callers
-// bound execution by step count.
+// bound execution by step count. It is NextBatch over a one-step slab.
 func (e *Executor) Next(st *Step) {
-	p := e.p
-	in := &p.Instrs[e.cur]
-	st.Idx = e.cur
-	st.Taken = false
-	next := e.cur + 1
-
-	switch in.Kind {
-	case isa.KindCondBranch:
-		if e.rnd.Bool(in.TakenProb()) {
-			next = p.IndexOf(in.Target)
-			st.Taken = true
-		}
-	case isa.KindJump:
-		next = p.IndexOf(in.Target)
-		st.Taken = true
-	case isa.KindCall:
-		e.stack = append(e.stack, e.cur+1)
-		next = p.IndexOf(in.Target)
-		st.Taken = true
-	case isa.KindIndirectCall:
-		e.stack = append(e.stack, e.cur+1)
-		next = e.pickIndirect(in)
-		st.Taken = true
-	case isa.KindIndirectJump:
-		next = e.pickIndirect(in)
-		st.Taken = true
-	case isa.KindReturn:
-		if n := len(e.stack); n > 0 {
-			next = e.stack[n-1]
-			e.stack = e.stack[:n-1]
-		} else {
-			// A return with an empty stack restarts the dispatcher; it
-			// only happens if a workload mis-declares its entry function.
-			next = p.Funcs[0].Entry
-		}
-		st.Taken = true
-	}
-
-	if int(next) >= len(p.Instrs) {
-		// Falling off the end of the text segment restarts the
-		// dispatcher. Well-formed workloads never do this.
-		next = p.Funcs[0].Entry
-	}
-	e.cur = next
-	st.NextIdx = next
-	e.steps++
+	var one [1]Step
+	e.NextBatch(one[:])
+	*st = one[0]
 }
 
 // NextBatch executes len(dst) instructions, filling dst, and returns
-// len(dst). It is the batched equivalent of Next — same decisions, same
-// PRNG draws, same stack effects — with the interpreter state held in
-// locals across the whole slab instead of reloaded per step.
+// len(dst), with the interpreter state held in locals across the whole
+// slab instead of reloaded per step.
+//
+// A conditional branch is taken with probability Bias/256. Its coin is
+// drawn in integers: rnd.Bool(Bias/256) compares Float64's 53-bit
+// fraction (rnd.Uint64()>>11) / 2^53 with Bias/2^8, both exact binary
+// fractions, which is (rnd.Uint64()>>11) < Bias<<45; and Bool draws
+// nothing when Bias is 0.
 func (e *Executor) NextBatch(dst []Step) int {
 	p := e.p
 	cur := e.cur
@@ -189,7 +151,7 @@ func (e *Executor) NextBatch(dst []Step) int {
 
 		switch in.Kind {
 		case isa.KindCondBranch:
-			if e.rnd.Bool(in.TakenProb()) {
+			if in.Bias != 0 && e.rnd.Uint64()>>11 < uint64(in.Bias)<<45 {
 				next = p.IndexOf(in.Target)
 				st.Taken = true
 			}
@@ -212,12 +174,17 @@ func (e *Executor) NextBatch(dst []Step) int {
 				next = e.stack[n-1]
 				e.stack = e.stack[:n-1]
 			} else {
+				// A return with an empty stack restarts the dispatcher;
+				// it only happens if a workload mis-declares its entry
+				// function.
 				next = p.Funcs[0].Entry
 			}
 			st.Taken = true
 		}
 
 		if int(next) >= len(p.Instrs) {
+			// Falling off the end of the text segment restarts the
+			// dispatcher. Well-formed workloads never do this.
 			next = p.Funcs[0].Entry
 		}
 		cur = next

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"twig/internal/cache"
 	"twig/internal/checkpoint"
 	"twig/internal/program"
 )
@@ -45,7 +44,8 @@ func nextLineFlights(p *program.Program, degree int) flights {
 	if degree <= 0 || len(p.Instrs) == 0 {
 		return flights{}
 	}
-	return newFlights(cache.LineOf(p.BaseAddr), cache.LineOf(p.EndPC()-1)+uint64(degree))
+	first, end := p.TextLines()
+	return newFlights(first, end-1+uint64(degree))
 }
 
 // count returns the number of lines in flight.

@@ -502,8 +502,11 @@ func (s *simulator) runTo(total int64) error {
 			}
 		}
 		st := &s.batch[s.batchPos]
-		s.batchPos++
 		in := &p.Instrs[st.Idx]
+		if straight(st, in, s.lastLine) && s.straightRun(slot) {
+			continue
+		}
+		s.batchPos++
 		injected := in.ID >= p.OriginalInstrs
 		s.res.Instructions++
 		if injected {
@@ -763,10 +766,7 @@ func (s *simulator) runTo(total int64) error {
 
 		// ---- Epoch boundary ----------------------------------------------
 		if s.tel != nil && s.warmed && s.tel.epochLen > 0 {
-			if mi := s.res.Original - cfg.Warmup; mi >= s.tel.nextTick {
-				s.telTick(mi)
-				s.tel.nextTick += s.tel.epochLen
-			}
+			s.epochTick()
 		}
 
 		if invariantsEnabled {
@@ -774,6 +774,119 @@ func (s *simulator) runTo(total int64) error {
 		}
 	}
 	return nil
+}
+
+// epochTick emits the epoch boundary once the measured instruction
+// count reaches it. The caller checks that epochs are sampled.
+func (s *simulator) epochTick() {
+	if mi := s.res.Original - s.cfg.Warmup; mi >= s.tel.nextTick {
+		s.telTick(mi)
+		s.tel.nextTick += s.tel.epochLen
+	}
+}
+
+// straight reports whether step st of instruction in takes the
+// straight-line path: a regular instruction, not taken, that lies
+// wholly inside line, the line the fetch engine holds.
+func straight(st *exec.Step, in *program.Instr, line uint64) bool {
+	return in.Kind == isa.KindRegular && !st.Taken &&
+		cache.LineOf(in.PC) == line && cache.LineOf(in.PC+uint64(in.Size)-1) == line
+}
+
+// straightRun advances the straight-line run that starts at the slab
+// cursor and reports whether it advanced any instruction. Those
+// instructions touch no BTB, cache, scheme or predictor, so each
+// advances only the clock chain: the BPU half-slot, the fetch slot, the
+// BPU wait, the ROB pop, retire and the ROB push, with the same float
+// operations in the same order as runTo's general path, which leaves
+// every result bit-identical. The clocks, the BPU wait and the ROB
+// cursor stay in locals and are written back once per run. The run
+// stops at the end of the slab, before the warm-up boundary and at the
+// next epoch tick, which runTo handles. A layout sink sees the run's
+// block entries after the loop, which keeps the loop free of calls;
+// the run emits no other event, so their order is unchanged. twigcheck
+// builds check every instruction.
+func (s *simulator) straightRun(slot float64) bool {
+	n := int64(s.batchLen - s.batchPos)
+	if !s.warmed {
+		n = min(n, s.cfg.Warmup-s.res.Original)
+	} else if t := s.tel; t != nil && t.epochLen > 0 {
+		n = min(n, t.nextTick-(s.res.Original-s.cfg.Warmup))
+	}
+	if n <= 0 {
+		return false
+	}
+	p, line, run := s.p, s.lastLine, s.batch[s.batchPos:s.batchPos+int(n)]
+	instrs := p.Instrs
+	half, cpi, depth := slot/2, s.cfg.BackendCPI, s.cfg.BackendDepth
+	bpu, fetch, retire, wait := s.bpuC, s.fetchC, s.retireC, s.res.BPUWaitCycles
+	rob, head, occ := s.rob, s.robHead, s.robLen
+	ins, orig := s.res.Instructions, s.res.Original
+	k := 0
+	for ; k < len(run); k++ {
+		st := &run[k]
+		if !straight(st, &instrs[st.Idx], line) {
+			break
+		}
+		prev := clockSnap{bpu: bpu, fetch: fetch, retire: retire}
+
+		bpu += half
+		fstart := fetch + slot
+		if bpu > fstart {
+			wait += bpu - fstart
+			fstart = bpu
+		}
+		if occ == len(rob) {
+			if t := rob[head]; t > fstart {
+				fstart = t
+			}
+			if head++; head == len(rob) {
+				head = 0
+			}
+			occ--
+		}
+		fetch = fstart
+
+		rc := retire + cpi
+		if t := fetch + depth; t > rc {
+			rc = t
+		}
+		retire = rc
+		if occ < len(rob) {
+			j := head + occ
+			if j >= len(rob) {
+				j -= len(rob)
+			}
+			rob[j] = rc
+			occ++
+		}
+
+		if invariantsEnabled {
+			c := int64(k + 1)
+			s.bpuC, s.fetchC, s.retireC, s.res.BPUWaitCycles = bpu, fetch, retire, wait
+			s.robHead, s.robLen = head, occ
+			s.res.Instructions, s.res.Original = ins+c, orig+c
+			s.invariantStep(prev, bpu)
+		}
+	}
+	if k == 0 {
+		return false
+	}
+	s.batchPos += k
+	s.bpuC, s.fetchC, s.retireC, s.res.BPUWaitCycles = bpu, fetch, retire, wait
+	s.robHead, s.robLen = head, occ
+	s.res.Instructions, s.res.Original = ins+int64(k), orig+int64(k)
+	if s.layout != nil {
+		for _, st := range run[:k] {
+			if blk := &p.Blocks[p.BlockOf[st.Idx]]; blk.First == st.Idx {
+				s.layout.BlockEnter(blk.ID)
+			}
+		}
+	}
+	if s.tel != nil && s.warmed && s.tel.epochLen > 0 {
+		s.epochTick()
+	}
+	return true
 }
 
 // warmBoundary crosses from warmup into the measured window:

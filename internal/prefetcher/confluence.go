@@ -52,9 +52,12 @@ type Confluence struct {
 
 	history []uint64
 	histPos int
-	// lastPos maps a line to its most recent history position + 1
-	// (0 = absent).
-	lastPos map[uint64]int
+	// lastPos holds each line's most recent history position + 1 (0 =
+	// absent), indexed by line - firstLine over the lines of the
+	// attached program's text, where every line the fetch engine
+	// misses on lies.
+	lastPos   []int32
+	firstLine uint64
 }
 
 // NewConfluence builds the scheme.
@@ -63,15 +66,20 @@ func NewConfluence(cfg ConfluenceConfig) *Confluence {
 		cfg:     cfg,
 		b:       newAssoc(cfg.BTB.Entries, cfg.BTB.Ways),
 		history: make([]uint64, 0, cfg.HistoryLines),
-		lastPos: make(map[uint64]int, cfg.HistoryLines),
 	}
 }
 
 // Name implements Scheme.
 func (c *Confluence) Name() string { return "confluence" }
 
-// Attach implements Scheme.
-func (c *Confluence) Attach(fe Frontend) { c.fe = fe }
+// Attach implements Scheme: it sizes the last-position table to the
+// program's text.
+func (c *Confluence) Attach(fe Frontend) {
+	c.fe = fe
+	first, end := fe.Program().TextLines()
+	c.firstLine = first
+	c.lastPos = make([]int32, end-first)
+}
 
 // Lookup implements Scheme.
 func (c *Confluence) Lookup(pc uint64, kind isa.Kind, cycle float64, taken bool) LookupResult {
@@ -103,21 +111,21 @@ func (c *Confluence) OnFetchLine(uint64, float64) {}
 // OnLineMiss implements Scheme: record the miss in the temporal history
 // and replay the stream that previously followed this line, if any.
 func (c *Confluence) OnLineMiss(line uint64, cycle float64) {
-	prev := c.lastPos[line] // position+1 of the previous occurrence
+	slot := &c.lastPos[line-c.firstLine]
+	prev := int(*slot) // position+1 of the previous occurrence
 
 	// Record.
 	if len(c.history) < c.cfg.HistoryLines {
 		c.history = append(c.history, line)
-		c.lastPos[line] = len(c.history)
+		*slot = int32(len(c.history))
 	} else {
 		// Circular overwrite; stale lastPos entries are detected below
 		// by re-checking the history contents.
-		old := c.history[c.histPos]
-		if c.lastPos[old] == c.histPos+1 {
-			delete(c.lastPos, old)
+		if old := &c.lastPos[c.history[c.histPos]-c.firstLine]; int(*old) == c.histPos+1 {
+			*old = 0
 		}
 		c.history[c.histPos] = line
-		c.lastPos[line] = c.histPos + 1
+		*slot = int32(c.histPos + 1)
 		c.histPos = (c.histPos + 1) % c.cfg.HistoryLines
 	}
 

@@ -1,10 +1,12 @@
 package prefetcher
 
 import (
+	"bytes"
 	"testing"
 
 	"twig/internal/btb"
 	"twig/internal/cache"
+	"twig/internal/checkpoint"
 	"twig/internal/isa"
 	"twig/internal/program"
 )
@@ -210,6 +212,56 @@ func TestConfluenceStreamReplay(t *testing.T) {
 	res := c.Lookup(cond.PC, isa.KindCondBranch, 4, true)
 	if !res.Hit || !res.FromPrefetch {
 		t.Fatalf("predecoded lookup after replay = %+v", res)
+	}
+}
+
+// TestConfluenceStateIsTextIndexed round-trips Confluence's
+// last-position table through a checkpoint and requires a restore to
+// reject a recorded line outside the attached program's text.
+func TestConfluenceStateIsTextIndexed(t *testing.T) {
+	cfg := ConfluenceConfig{BTB: btb.DefaultConfig(), HistoryLines: 4, ReplayDepth: 2}
+	p := lineProgram(t)
+	first, end := p.TextLines()
+	c := NewConfluence(cfg)
+	c.Attach(&fakeFrontend{p: p})
+	for i := 0; i < 6; i++ { // wraps the 4-line history
+		c.OnLineMiss(first+uint64(i)%(end-first), float64(i))
+	}
+	save := func(c *Confluence) []byte {
+		w := checkpoint.NewWriter()
+		if err := c.SaveState(w); err != nil {
+			t.Fatal(err)
+		}
+		return w.Finish()
+	}
+	restore := func(p *program.Program, data []byte) error {
+		r, err := checkpoint.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConfluence(cfg)
+		c.Attach(&fakeFrontend{p: p})
+		if err := c.RestoreState(r); err != nil {
+			return err
+		}
+		if got := save(c); !bytes.Equal(got, data) {
+			t.Fatal("restored state saves different bytes")
+		}
+		return nil
+	}
+	data := save(c)
+	if err := restore(p, data); err != nil {
+		t.Fatal(err)
+	}
+
+	b := program.NewBuilder(p.BaseAddr + 1<<20)
+	b.NewFunc().NewBlock().Return()
+	far, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restore(far, data); err == nil {
+		t.Fatal("restore accepted lines outside the program's text")
 	}
 }
 

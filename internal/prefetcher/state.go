@@ -1,14 +1,11 @@
 // Checkpoint serialization for the prefetch schemes. Each scheme
 // saves its structural tables, accuracy counters and any in-flight
 // training context; configuration and the attached frontend are
-// construction-time and never serialized. Map-backed state
-// (Confluence's last-position index) is written in sorted key order
-// so identical simulator states always produce identical bytes.
+// construction-time and never serialized.
 package prefetcher
 
 import (
 	"fmt"
-	"sort"
 
 	"twig/internal/checkpoint"
 	"twig/internal/isa"
@@ -213,8 +210,9 @@ func (s *Shotgun) RestoreState(r *checkpoint.Reader) error {
 	return nil
 }
 
-// SaveState implements checkpoint.State. The last-position map is
-// written as (line, position) pairs in ascending line order.
+// SaveState implements checkpoint.State. The last-position table is
+// written as its recorded (line, position) pairs in ascending line
+// order.
 func (c *Confluence) SaveState(w *checkpoint.Writer) error {
 	w.Section(secConfluence)
 	saveAssoc(w, c.b)
@@ -224,15 +222,18 @@ func (c *Confluence) SaveState(w *checkpoint.Writer) error {
 	savePF(w, c.pf)
 	w.U64s(c.history)
 	w.Int(c.histPos)
-	lines := make([]uint64, 0, len(c.lastPos))
-	for line := range c.lastPos {
-		lines = append(lines, line)
+	n := 0
+	for _, pos := range c.lastPos {
+		if pos != 0 {
+			n++
+		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.Len(len(lines))
-	for _, line := range lines {
-		w.U64(line)
-		w.Int(c.lastPos[line])
+	w.Len(n)
+	for i, pos := range c.lastPos {
+		if pos != 0 {
+			w.U64(c.firstLine + uint64(i))
+			w.Int(int(pos))
+		}
 	}
 	return nil
 }
@@ -259,14 +260,26 @@ func (c *Confluence) RestoreState(r *checkpoint.Reader) error {
 	if histPos < 0 || (c.cfg.HistoryLines > 0 && histPos >= c.cfg.HistoryLines) {
 		return fmt.Errorf("prefetcher: checkpoint history cursor out of range")
 	}
-	lastPos := make(map[uint64]int, n)
+	for _, line := range history {
+		if line-c.firstLine >= uint64(len(c.lastPos)) {
+			return fmt.Errorf("prefetcher: checkpoint history line %#x lies outside the program's text", line)
+		}
+	}
+	lastPos := make([]int32, len(c.lastPos))
 	for i := 0; i < n; i++ {
 		line := r.U64()
 		pos := r.Int()
-		if r.Err() == nil && (pos < 1 || pos > len(history)) {
+		if r.Err() != nil {
+			break
+		}
+		if pos < 1 || pos > len(history) {
 			return fmt.Errorf("prefetcher: checkpoint history position out of range")
 		}
-		lastPos[line] = pos
+		l := line - c.firstLine
+		if l >= uint64(len(lastPos)) {
+			return fmt.Errorf("prefetcher: checkpoint line %#x lies outside the program's text", line)
+		}
+		lastPos[l] = int32(pos)
 	}
 	if err := r.Err(); err != nil {
 		return err

@@ -190,10 +190,27 @@ func (p *Profile) AddSample(branch int32, missCycle float64, window []Record) {
 	})
 }
 
-// Finish returns the collected profile.
+// Finish returns the collected profile, its log and samples clipped to
+// their length.
 func (c *Collector) Finish(instructions int64) *Profile {
 	c.prof.Instructions = instructions
+	c.prof.clip()
 	return c.prof
+}
+
+// clip moves the log and the samples into arrays of exactly their
+// length, so a profile kept for the rest of a run does not also keep
+// the spare capacity that appending left behind.
+func (p *Profile) clip() {
+	p.Log = clipped(p.Log)
+	p.Samples = clipped(p.Samples)
+}
+
+func clipped[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Collect is the one-call convenience used throughout the experiments:

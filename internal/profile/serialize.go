@@ -168,7 +168,8 @@ func (d *decoder) fail(err error) {
 	}
 }
 
-// Load reads a profile written by Save, in either format.
+// Load reads a profile written by Save, in either format, its log and
+// samples clipped to their length.
 func Load(r io.Reader) (*Profile, error) {
 	d := &decoder{r: bufio.NewReader(r)}
 	head := make([]byte, len(profileMagic))
@@ -203,6 +204,7 @@ func Load(r io.Reader) (*Profile, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("profile: %w", d.err)
 	}
+	p.clip()
 	return p, nil
 }
 

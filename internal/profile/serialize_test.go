@@ -42,6 +42,13 @@ func TestProfileRoundTrip(t *testing.T) {
 	if len(got.Samples) != len(prof.Samples) || len(got.Log) != len(prof.Log) {
 		t.Fatal("sample or log record count differs")
 	}
+	// Finish and Load both leave no spare capacity behind.
+	for _, q := range []*Profile{prof, got} {
+		if cap(q.Log) != len(q.Log) || cap(q.Samples) != len(q.Samples) {
+			t.Fatalf("log %d/%d or samples %d/%d (length/capacity) keep spare capacity",
+				len(q.Log), cap(q.Log), len(q.Samples), cap(q.Samples))
+		}
+	}
 	// TWIGPRF2 stores float bits, so cycles come back exactly.
 	for k := range prof.Log {
 		a, b := prof.Log[k], got.Log[k]

@@ -72,9 +72,6 @@ type Instr struct {
 // NextPC returns the fall-through address.
 func (in *Instr) NextPC() uint64 { return in.PC + uint64(in.Size) }
 
-// TakenProb returns the conditional branch taken probability in [0,1].
-func (in *Instr) TakenProb() float64 { return float64(in.Bias) / 256.0 }
-
 // Block is a builder-granularity basic block: a contiguous run of
 // instructions. Control flow may only enter at First and leaves either
 // through the terminating branch or by falling through past Last.
@@ -236,6 +233,13 @@ func (p *Program) LineBranches(first, end uint64) []int32 {
 	}
 	lo, hi := p.lineOffset(first), p.lineOffset(end)
 	return p.branchIdxs[lo:hi:hi]
+}
+
+// TextLines returns the cache lines the instructions occupy, [first,
+// end) as cache.LineOf gives them: the range a table indexed by fetched
+// line must cover.
+func (p *Program) TextLines() (first, end uint64) {
+	return p.firstLine, p.firstLine + uint64(len(p.lineStart)) - 1
 }
 
 // lineOffset returns the index in branchIdxs of the first direct

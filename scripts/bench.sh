@@ -80,6 +80,12 @@ compare() {
 	git worktree prune
 	git worktree add --quiet --detach "$wt" "$base"
 	trap 'git worktree remove --force "$wt"' EXIT
+	# perfbench/run.sh keeps Go's build cache under the checkout's
+	# .bench_build. Linking the base's cache to this tree's means the
+	# standard library is compiled once, not once per comparison; the
+	# cache is content-addressed, so sharing it is safe.
+	mkdir -p .bench_build/gocache "$wt/.bench_build"
+	ln -s "$root/.bench_build/gocache" "$wt/.bench_build/gocache"
 	echo "bench: schemes sim_kips of this tree (head) against $1 (base, $base)"
 	bases= heads=
 	for seed in 1 2 3; do
