@@ -1,8 +1,9 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"twig/internal/isa"
 )
@@ -59,7 +60,10 @@ func (pl *InjectionPlan) SortTable(p *Program) []int32 {
 	for i, pr := range pl.Table {
 		ks[i] = keyed{pair: pr, pc: p.PCOf(pr.Branch), orig: int32(i)}
 	}
-	sort.Slice(ks, func(a, b int) bool { return ks[a].pc < ks[b].pc })
+	// Entries for the same branch from different sites tie. slices.SortFunc
+	// runs the same pdqsort as sort.Slice, so ties land in the slots they
+	// always have (TestSortTableTieOrder).
+	slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.pc, b.pc) })
 	remap := make([]int32, len(ks))
 	for newIdx, k := range ks {
 		pl.Table[newIdx] = k.pair

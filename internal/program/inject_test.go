@@ -1,9 +1,12 @@
 package program
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"twig/internal/isa"
+	"twig/internal/rng"
 )
 
 // buildForInjection makes a program with well-known branch positions:
@@ -333,4 +336,64 @@ func TestHotFunctionOrder(t *testing.T) {
 	if pos[2] > pos[3] && pos[2] > pos[4] && pos[2] > pos[6] && pos[2] > pos[7] {
 		t.Fatalf("warm function 2 placed after all cold ones: %v", order)
 	}
+}
+
+// TestSortTableTieOrder pins which slot each of a branch's duplicate
+// table entries (one per coalescing site) lands in: Analyze's masks
+// depend on it. The oracle is SortTable's earlier sort.Slice body.
+func TestSortTableTieOrder(t *testing.T) {
+	b := NewBuilder(0x400000)
+	f := b.NewFunc()
+	const branches = 40
+	for i := 0; i < branches; i++ {
+		blk := f.NewBlock()
+		blk.Regular(4)
+		blk.Cond(int32(i+1), 128, false)
+	}
+	f.NewBlock().Return()
+	p, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int32
+	for i := range p.Instrs {
+		if p.Instrs[i].Kind.IsDirect() {
+			ids = append(ids, p.Instrs[i].ID)
+		}
+	}
+	r := rng.New(7)
+	for _, n := range []int{2, 11, 13, 40, 51, 200, 1000, 5000} {
+		for trial := 0; trial < 20; trial++ {
+			// Few distinct branches, so most entries tie.
+			distinct := 1 + r.Intn(min(len(ids), n))
+			plan := &InjectionPlan{}
+			for i := 0; i < n; i++ {
+				br := ids[r.Intn(distinct)]
+				plan.Table = append(plan.Table, CoalescePair{Branch: br, Target: p.InstrByID(br).Target})
+			}
+			want := sortSliceRemap(p, plan.Table)
+			if got := plan.SortTable(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d trial %d: remap differs from sort.Slice's", n, trial)
+			}
+		}
+	}
+}
+
+// sortSliceRemap is SortTable's remap as sort.Slice computed it.
+func sortSliceRemap(p *Program, table []CoalescePair) []int32 {
+	type keyed struct {
+		pair CoalescePair
+		pc   uint64
+		orig int32
+	}
+	ks := make([]keyed, len(table))
+	for i, pr := range table {
+		ks[i] = keyed{pair: pr, pc: p.PCOf(pr.Branch), orig: int32(i)}
+	}
+	sort.Slice(ks, func(a, b int) bool { return ks[a].pc < ks[b].pc })
+	remap := make([]int32, len(ks))
+	for newIdx, k := range ks {
+		remap[k.orig] = int32(newIdx)
+	}
+	return remap
 }

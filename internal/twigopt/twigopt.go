@@ -22,7 +22,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"twig/internal/isa"
 	"twig/internal/profile"
@@ -133,6 +132,13 @@ type Analysis struct {
 // the injection plan. p must be the unmodified (profiled) binary,
 // possibly re-laid-out by Program.ReorderFunctions. A profile that
 // names a branch or block p does not have is an error.
+//
+// Steps 1–2 (site selection) read only the profile and six fields of
+// cfg, so Analyze runs them once per (profile content, those fields)
+// and reuses the result (memo.go); step 3 (encoding) runs on every
+// call. Configurations that differ only in how sites are encoded —
+// fig27's mask widths, fig18's software-only column — share one
+// selection.
 func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, error) {
 	if cfg.OffsetBits <= 0 || cfg.OffsetBits > 48 {
 		return nil, fmt.Errorf("twigopt: offset width %d out of range", cfg.OffsetBits)
@@ -143,42 +149,64 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	if err := checkProfile(p, prof); err != nil {
 		return nil, err
 	}
+	return encode(p, selectionFor(prof, cfg.selectConfig()), cfg), nil
+}
 
-	an := &Analysis{Plan: &program.InjectionPlan{}}
+// site is one accepted (injection block, missed branch) pair.
+type site struct {
+	branch, block int32
+	// prob is the winning conditional probability.
+	prob float64
+}
+
+// selection is the outcome of steps 1–2. It is never written after
+// choose returns: memoized selections are shared by concurrent calls.
+type selection struct {
+	// sites are in selection order: branches by decreasing sampled miss
+	// volume, each branch's sites in set-cover order, so the sites of
+	// one branch are adjacent.
+	sites []site
+	// byBlock indexes sites by injection block, ties in selection
+	// order: the order step 3 visits sites in.
+	byBlock []int32
+	// covered and total are Analysis.CoveredMissCount and
+	// TotalMissCount; noCandidate and lowProbability its two counts of
+	// dropped branches.
+	covered, total              int64
+	noCandidate, lowProbability int
+}
+
+// choose runs steps 1–2 on prof under sc. It reads nothing else, which
+// is what lets selectionFor memoize it by profile content.
+func choose(prof *profile.Profile, sc selectConfig) *selection {
+	sel := &selection{}
 	for _, n := range prof.MissCounts {
-		an.TotalMissCount += n
+		sel.total += n
 	}
-
-	type site struct {
-		branch int32
-		block  int32
-		prob   float64
-	}
-	maxSites := cfg.MaxSitesPerBranch
-	if maxSites <= 0 || cfg.NearestSite {
+	maxSites := sc.MaxSitesPerBranch
+	if maxSites <= 0 || sc.NearestSite {
 		maxSites = 1
 	}
-	var sites []site
 	var processedMisses int64
-	cutoff := int64(float64(an.TotalMissCount) * cfg.CoverageTarget)
-	cs := newCandidates(len(p.Blocks))
+	cutoff := int64(float64(sel.total) * sc.CoverageTarget)
+	cs := newCandidates(len(prof.BlockExecs))
 	var covered []bool
 	// Step 1: per missed branch, collect the timely predecessor blocks
 	// from its samples. Branches go in decreasing sampled-miss volume,
 	// so the CoverageTarget cutoff keeps the head of the distribution
 	// and drops the long tail before any of its candidates are built.
-	for _, bk := range bucketSamples(p, prof) {
-		if cfg.CoverageTarget > 0 && processedMisses >= cutoff {
+	for _, bk := range bucketSamples(prof) {
+		if sc.CoverageTarget > 0 && processedMisses >= cutoff {
 			break
 		}
 		processedMisses += bk.misses
-		if bk.misses < cfg.MinMissCount {
+		if bk.misses < sc.MinMissCount {
 			continue
 		}
-		cs.collect(prof, bk.samples, cfg.PrefetchDistance)
+		cs.collect(prof, bk.samples, sc.PrefetchDistance)
 		cands := cs.list
 		if len(cands) == 0 {
-			an.NoCandidate++
+			sel.noCandidate++
 			continue
 		}
 		// Step 2: greedy set cover over this branch's samples: each
@@ -212,7 +240,7 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 					// (loops); clamp for comparability.
 					prob = 1
 				}
-				if !cfg.NearestSite && prob < cfg.MinProbability {
+				if !sc.NearestSite && prob < sc.MinProbability {
 					continue
 				}
 				gain := 0
@@ -225,7 +253,7 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 				// does not depend on the order candidates were found.
 				lower := bestIdx >= 0 && rec.block < cands[bestIdx].block
 				better := gain > bestGain || (gain == bestGain && (prob > bestProb || prob == bestProb && lower))
-				if cfg.NearestSite {
+				if sc.NearestSite {
 					// Ablation: ignore probability, prefer the most
 					// frequently timely block (locality-only heuristic).
 					better = gain > bestGain || (gain == bestGain && lower)
@@ -245,43 +273,63 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 				}
 			}
 			cands[bestIdx].count = 0 // consume
-			sites = append(sites, site{branch: bk.branch, block: cands[bestIdx].block, prob: bestProb})
+			sel.sites = append(sel.sites, site{branch: bk.branch, block: cands[bestIdx].block, prob: bestProb})
 			accepted++
 		}
 		if accepted > 0 {
 			// Attribute the branch's miss volume proportionally to the
 			// fraction of its samples the chosen sites can reach.
-			an.CoveredMissCount += bk.misses * int64(nCovered) / int64(nSamples)
+			sel.covered += bk.misses * int64(nCovered) / int64(nSamples)
 		} else {
-			an.LowProbability++
+			sel.lowProbability++
 		}
 	}
-
-	// Step 3: encode. Offsets are computed on the profiled layout; the
-	// relink shifts addresses by the injected bytes (a few percent),
-	// which the 12-bit budget absorbs for all but boundary cases —
-	// exactly the imprecision a real link-time rewriter faces.
-	//
-	// Group entries per injection block first: a site with a single
-	// encodable entry gets a brprefetch; a site with several entries —
-	// or any too-large entry — routes everything through the sorted
-	// key-value table and brcoalesce masks, which is how §3.2 contains
-	// the code bloat of multi-parameter prefetch instructions.
-	type siteEntry struct {
-		branch int32
-		fits   bool
-		prob   float64
+	// The table keeps the sites, so keep no spare capacity.
+	sel.sites = slices.Clone(sel.sites)
+	sel.byBlock = make([]int32, len(sel.sites))
+	for i := range sel.byBlock {
+		sel.byBlock[i] = int32(i)
 	}
-	perBlockEntries := make(map[int32][]siteEntry)
-	placementsOf := make(map[int32][]int)
-	blockOrder := []int32{}
+	slices.SortFunc(sel.byBlock, func(i, j int32) int {
+		if c := cmp.Compare(sel.sites[i].block, sel.sites[j].block); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	return sel
+}
+
+// encode is step 3: it encodes sel's sites for p under cfg's encoding
+// fields and fills in the Analysis. Offsets are computed on the
+// profiled layout; the relink shifts addresses by the injected bytes (a
+// few percent), which the 12-bit budget absorbs for all but boundary
+// cases — exactly the imprecision a real link-time rewriter faces.
+//
+// Sites are grouped per injection block: a site with a single
+// encodable entry gets a brprefetch; a site with several entries — or
+// any too-large entry — routes everything through the sorted key-value
+// table and brcoalesce masks, which is how §3.2 contains the code bloat
+// of multi-parameter prefetch instructions. encode only reads sel.
+func encode(p *program.Program, sel *selection, cfg Config) *Analysis {
+	an := &Analysis{
+		Plan:             &program.InjectionPlan{},
+		CoveredMissCount: sel.covered,
+		TotalMissCount:   sel.total,
+		NoCandidate:      sel.noCandidate,
+		LowProbability:   sel.lowProbability,
+	}
+	sites := sel.sites
 	// Sites are stable block IDs, and p.Blocks is in layout order,
 	// which a reordered binary no longer keeps in ID order.
 	blockFirst := make([]int32, len(p.Blocks))
 	for i := range p.Blocks {
 		blockFirst[p.Blocks[i].ID] = p.Blocks[i].First
 	}
-	for _, st := range sites {
+	fits := make([]bool, len(sites))
+	if len(sites) > 0 {
+		an.Placements = make([]Placement, len(sites))
+	}
+	for i, st := range sites {
 		br := p.InstrByID(st.branch)
 		sitePC := p.Instrs[blockFirst[st.block]].PC
 		branchOff := int64(br.PC) - int64(sitePC)
@@ -290,79 +338,83 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 		tb := isa.SignedBitsFor(targetOff)
 		an.BranchOffsetBits[clampBits(bb)]++
 		an.TargetOffsetBits[clampBits(tb)]++
-		if _, ok := perBlockEntries[st.block]; !ok {
-			blockOrder = append(blockOrder, st.block)
-		}
-		perBlockEntries[st.block] = append(perBlockEntries[st.block], siteEntry{
-			branch: st.branch,
-			fits:   bb <= cfg.OffsetBits && tb <= cfg.OffsetBits,
-			prob:   st.prob,
-		})
-		placementsOf[st.branch] = append(placementsOf[st.branch], len(an.Placements))
-		an.Placements = append(an.Placements, Placement{
+		fits[i] = bb <= cfg.OffsetBits && tb <= cfg.OffsetBits
+		an.Placements[i] = Placement{
 			Branch: st.branch, Block: st.block, Probability: st.prob,
 			BranchOffset: branchOff, TargetOffset: targetOff,
-		})
-	}
-	sort.Slice(blockOrder, func(i, j int) bool { return blockOrder[i] < blockOrder[j] })
-
-	perBlock := make(map[int32]*program.Injection)
-	var tableEntries []struct {
-		pair  program.CoalescePair
-		block int32
-	}
-	markCoalesced := func(branch int32) {
-		for _, i := range placementsOf[branch] {
-			an.Placements[i].Coalesced = true
 		}
 	}
-	for _, blk := range blockOrder {
-		entries := perBlockEntries[blk]
+
+	// Walk the sites block by block, in block ID order. A block's
+	// brprefetch operands, table entries and brcoalesce operations are
+	// each one run of a slice shared by all blocks.
+	type blockSites struct {
+		block          int32
+		pfFrom, pfTo   int32 // range in prefetches
+		tabFrom, tabTo int32 // range in table
+		opFrom, opTo   int32 // range in ops
+	}
+	blocks := make([]blockSites, 0, len(sites))
+	prefetches := make([]int32, 0, len(sites))
+	table := make([]program.CoalescePair, 0, len(sites))
+	order := sel.byBlock
+	for g := 0; g < len(order); {
+		blk := sites[order[g]].block
+		end := g + 1
+		for end < len(order) && sites[order[end]].block == blk {
+			end++
+		}
+		entries := order[g:end]
+		g = end
 		if n := cfg.MaxPrefetchesPerSite; n > 0 && len(entries) > n {
 			entries = entries[:n]
 		}
-		inj := &program.Injection{Block: blk}
-		perBlock[blk] = inj
+		bs := blockSites{block: blk, pfFrom: int32(len(prefetches)), tabFrom: int32(len(table))}
 		coalesceAll := !cfg.DisableCoalescing && len(entries) >= 2
-		for _, e := range entries {
+		for _, i := range entries {
 			switch {
-			case coalesceAll || (!e.fits && !cfg.DisableCoalescing):
-				markCoalesced(e.branch)
-				tableEntries = append(tableEntries, struct {
-					pair  program.CoalescePair
-					block int32
-				}{program.CoalescePair{Branch: e.branch, Target: p.InstrByID(e.branch).Target}, blk})
-			case e.fits:
-				inj.Prefetches = append(inj.Prefetches, e.branch)
+			case coalesceAll || (!fits[i] && !cfg.DisableCoalescing):
+				an.Placements[i].Coalesced = true
+				table = append(table, program.CoalescePair{Branch: sites[i].branch, Target: p.InstrByID(sites[i].branch).Target})
+			case fits[i]:
+				prefetches = append(prefetches, sites[i].branch)
 			default:
 				// DisableCoalescing and too large: dropped (uncovered
 				// at runtime — the Fig. 18 software-only configuration
 				// pays this).
 			}
 		}
+		bs.pfTo, bs.tabTo = int32(len(prefetches)), int32(len(table))
+		blocks = append(blocks, bs)
+	}
+	// A branch coalesced at one of its sites is coalesced at all of
+	// them; its sites are adjacent in selection order.
+	for i := 0; i < len(sites); {
+		j, coalesced := i, false
+		for ; j < len(sites) && sites[j].branch == sites[i].branch; j++ {
+			coalesced = coalesced || an.Placements[j].Coalesced
+		}
+		for ; coalesced && i < j; i++ {
+			an.Placements[i].Coalesced = true
+		}
+		i = j
 	}
 
-	// Build the sorted coalesce table and per-site mask groups.
-	an.Plan.Table = make([]program.CoalescePair, len(tableEntries))
-	for i, te := range tableEntries {
-		an.Plan.Table[i] = te.pair
-	}
+	// Sort the coalesce table and group each block's slots into masks.
+	an.Plan.Table = slices.Clone(table)
 	remap := an.Plan.SortTable(p)
-	slotsPerBlock := make(map[int32][]int32)
-	for i, te := range tableEntries {
-		slotsPerBlock[te.block] = append(slotsPerBlock[te.block], remap[i])
-	}
-	for _, blk := range blockOrder {
-		slots := slotsPerBlock[blk]
-		if len(slots) == 0 {
-			continue
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		inj := perBlock[blk]
+	ops := make([]program.CoalesceOp, 0, len(table))
+	var slots []int32
+	nonEmpty := 0
+	for k := range blocks {
+		bs := &blocks[k]
+		slots = append(slots[:0], remap[bs.tabFrom:bs.tabTo]...)
+		slices.Sort(slots)
 		// Greedy spatial grouping: one brcoalesce covers all of this
 		// site's slots within a window of CoalesceMaskBits consecutive
 		// table entries (entries are PC-sorted, so nearby branches land
 		// in the same window — the locality §3.2 exploits).
+		bs.opFrom = int32(len(ops))
 		for i := 0; i < len(slots); {
 			base := slots[i]
 			var mask uint64
@@ -370,21 +422,37 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 			for ; j < len(slots) && slots[j]-base < int32(cfg.CoalesceMaskBits); j++ {
 				mask |= 1 << uint(slots[j]-base)
 			}
-			inj.Coalesces = append(inj.Coalesces, program.CoalesceOp{Base: base, Mask: mask})
+			ops = append(ops, program.CoalesceOp{Base: base, Mask: mask})
 			i = j
+		}
+		bs.opTo = int32(len(ops))
+		if bs.pfTo > bs.pfFrom || bs.opTo > bs.opFrom {
+			nonEmpty++
 		}
 	}
 
-	// Emit injections in deterministic block order, skipping blocks
-	// whose every entry was dropped.
-	for _, blk := range blockOrder {
-		inj := perBlock[blk]
-		if len(inj.Prefetches) == 0 && len(inj.Coalesces) == 0 {
-			continue
-		}
-		an.Plan.Injections = append(an.Plan.Injections, *inj)
+	// Emit the injections in block order, skipping blocks whose every
+	// entry was dropped. The plan keeps exactly sized copies of the
+	// shared slices; each injection's slices are capped, so appending
+	// to one cannot write into the next.
+	if nonEmpty == 0 {
+		return an
 	}
-	return an, nil
+	prefetches, ops = slices.Clone(prefetches), slices.Clone(ops)
+	an.Plan.Injections = make([]program.Injection, 0, nonEmpty)
+	for _, bs := range blocks {
+		inj := program.Injection{Block: bs.block}
+		if bs.pfTo > bs.pfFrom {
+			inj.Prefetches = prefetches[bs.pfFrom:bs.pfTo:bs.pfTo]
+		}
+		if bs.opTo > bs.opFrom {
+			inj.Coalesces = ops[bs.opFrom:bs.opTo:bs.opTo]
+		}
+		if inj.Prefetches != nil || inj.Coalesces != nil {
+			an.Plan.Injections = append(an.Plan.Injections, inj)
+		}
+	}
+	return an
 }
 
 // checkProfile reports a profile that does not fit p: a different
@@ -449,9 +517,13 @@ type bucket struct {
 // bucketSamples counting-sorts the sample indices by missed branch,
 // which keeps profile order within each bucket, and returns the
 // buckets in decreasing miss volume (ties by branch ID, so the order
-// is total).
-func bucketSamples(p *program.Program, prof *profile.Profile) []bucket {
-	next := make([]int32, len(p.Instrs)) // per stable ID: count, then fill cursor
+// is total). Branch IDs are non-negative (checkProfile).
+func bucketSamples(prof *profile.Profile) []bucket {
+	var ids int32
+	for i := range prof.Samples {
+		ids = max(ids, prof.Samples[i].Branch+1)
+	}
+	next := make([]int32, ids) // per stable ID: count, then fill cursor
 	for i := range prof.Samples {
 		next[prof.Samples[i].Branch]++
 	}

@@ -388,7 +388,8 @@ func TestAnalyzeArbitraryProfilesProperty(t *testing.T) {
 }
 
 // FuzzAnalyzeEquivalence explores the same generator as the property
-// test: Analyze must equal referenceAnalyze on every drawn case.
+// test: Analyze must equal referenceAnalyze on every drawn case, on
+// cold calls and on calls that reuse a memoized selection.
 func FuzzAnalyzeEquivalence(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 7, 42, 1 << 33} {
 		f.Add(seed)
@@ -397,7 +398,61 @@ func FuzzAnalyzeEquivalence(f *testing.F) {
 		if err := checkEquivalence(seed); err != nil {
 			t.Fatal(err)
 		}
+		if err := checkWarmPath(seed); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// checkWarmPath analyzes randomCase(seed) under three configurations
+// drawn from the seed that share selection fields and draw every field
+// step 3 reads afresh. The second and third calls reuse the first's
+// selection; each result must equal the reference's.
+func checkWarmPath(seed uint64) error {
+	p, prof, err := randomCase(seed)
+	if err != nil {
+		return err
+	}
+	r := rng.New(^seed)
+	base := DefaultConfig()
+	base.PrefetchDistance = float64(r.Intn(60))
+	base.MinProbability = []float64{0, 0.08, 0.3}[r.Intn(3)]
+	base.MinMissCount = int64(r.Intn(4))
+	base.MaxSitesPerBranch = r.Intn(5)
+	base.CoverageTarget = []float64{0, 0.5, 0.995}[r.Intn(3)]
+	base.NearestSite = r.Bool(0.2)
+	for i := 0; i < 3; i++ {
+		cfg := base
+		cfg.OffsetBits = 1 + r.Intn(48)
+		cfg.CoalesceMaskBits = 1 + r.Intn(64)
+		cfg.DisableCoalescing = r.Bool(0.3)
+		cfg.MaxPrefetchesPerSite = r.Intn(6)
+		if i > 0 && !memoHolds(prof, cfg) {
+			return fmt.Errorf("warm config %d: the first call's selection is not in the table", i)
+		}
+		an, err := Analyze(p, prof, cfg)
+		if err != nil {
+			return fmt.Errorf("warm config %d: %v", i, err)
+		}
+		ref, err := referenceAnalyze(p, prof, cfg)
+		if err != nil {
+			return fmt.Errorf("warm config %d: reference: %v", i, err)
+		}
+		if !reflect.DeepEqual(an, ref) {
+			return fmt.Errorf("warm config %d (%+v): analysis differs from the reference", i, cfg)
+		}
+		if _, err := p.Inject(an.Plan); err != nil {
+			return fmt.Errorf("warm config %d: inject: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// memoHolds reports whether the table has prof's selection under cfg.
+func memoHolds(prof *profile.Profile, cfg Config) bool {
+	memo.Lock()
+	defer memo.Unlock()
+	return find(memoKey{digest: digest(prof), cfg: cfg.selectConfig()}) != nil
 }
 
 // equivalenceConfigs are the configurations Analyze is compared with
