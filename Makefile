@@ -87,9 +87,11 @@ ledger-demo:
 
 # fleet-demo boots a local fleet — one coordinator, two workers — runs
 # an experiment slice distributed over it, then reruns with a fresh
-# local cache: the rerun replays everything from the fleet's shared
-# store (the runner line reports 0 sims run). Watch it live with
-# `go run ./cmd/twigtop -url http://127.0.0.1:9090`; see DESIGN.md §12.
+# local cache. Each run prints only its tables' headers and the
+# client's runner line, which shows where the sims ran: the client
+# runs 0 sims and replays the fleet's results as remote hits. Watch it
+# live with `go run ./cmd/twigtop -url http://127.0.0.1:9090`; see
+# DESIGN.md §12.
 fleet-demo:
 	$(GO) build -o /tmp/twigd-demo ./cmd/twigd
 	$(GO) build -o /tmp/twigworker-demo ./cmd/twigworker
@@ -98,12 +100,12 @@ fleet-demo:
 	/tmp/twigworker-demo -coordinator http://127.0.0.1:9090 -name w1 -cache "" & w1=$$!; \
 	/tmp/twigworker-demo -coordinator http://127.0.0.1:9090 -name w2 -cache "" & w2=$$!; \
 	trap 'kill $$coord $$w1 $$w2 2>/dev/null || true' EXIT; \
-	$(GO) run ./cmd/experiments -only fig1,fig16 -apps verilator,kafka \
-		-instructions 200000 -j 4 -cache "" \
-		-coordinator http://127.0.0.1:9090; \
-	$(GO) run ./cmd/experiments -only fig1,fig16 -apps verilator,kafka \
-		-instructions 200000 -j 4 -cache "" \
-		-coordinator http://127.0.0.1:9090
+	for run in cold warm; do \
+		echo "== $$run run"; \
+		$(GO) run ./cmd/experiments -only fig1,fig16 -apps verilator,kafka \
+			-instructions 200000 -j 4 -cache "" \
+			-coordinator http://127.0.0.1:9090 | grep -e '^== ' -e '^runner:'; \
+	done
 
 # BENCH_perfbench.json is committed (make bench rewrites it
 # deliberately); clean only removes derived files.

@@ -9,7 +9,7 @@
 //	experiments -perfetto trace.json    # ledger as Perfetto-loadable trace_event JSON
 //	experiments -listen :8080 -j 8      # live runner stats (watch with cmd/twigtop)
 //	experiments -only sampled -sample   # interval-sampled estimates with confidence intervals
-//	experiments -coordinator http://host:9090  # offload the matrix to a twigd fleet
+//	experiments -coordinator http://host:9090  # run cache misses on a twigd fleet
 //	experiments -cache-ls -cache .twig-cache   # enumerate the result cache and exit
 //	experiments -list                   # show experiment IDs
 package main
@@ -52,7 +52,7 @@ func main() {
 		epoch        = flag.Int64("epoch", 0, "live-endpoint refresh period in instructions (0 = window/10; with -listen)")
 		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation jobs (1 = serial)")
 		cacheDir     = flag.String("cache", runner.DefaultCacheDir(), "persistent result cache directory (default $"+runner.CacheDirEnv+"; empty = no disk cache)")
-		coordinator  = flag.String("coordinator", "", `twigd coordinator base URL (e.g. "http://host:9090"): offer the standard matrix to the fleet, replay its results via the shared remote cache`)
+		coordinator  = flag.String("coordinator", "", `twigd coordinator base URL (e.g. "http://host:9090"): offer the fleet every table run the cache misses, replay its results via the shared remote cache`)
 		timeout      = flag.Duration("timeout", 0, "per-job timeout, e.g. 10m (0 = none)")
 		ledgerOut    = flag.String("ledger", "", "write the span-structured run ledger (JSONL) to this file and print the summary footer")
 		perfettoOut  = flag.String("perfetto", "", "write the run ledger as Chrome trace_event JSON (loadable in Perfetto) to this file")
@@ -117,8 +117,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	var fleet runner.Fleet
+	if *coordinator != "" {
+		// The runner offers the fleet what the cache misses; what the
+		// fleet does not run executes here, so the output is the same.
+		if fleet, err = twigd.Attach(*coordinator, cache); err != nil {
+			fmt.Fprintf(os.Stderr, "coordinator: %v; running locally\n", err)
+		}
+	}
 	run := runner.New(runner.Options{Workers: *jobs, Timeout: *timeout, Cache: cache,
-		Ledger: ledger, ProfileDir: *profileDir})
+		Ledger: ledger, ProfileDir: *profileDir, Fleet: fleet})
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -194,31 +202,6 @@ func main() {
 			defer func() { tick.Stop(); close(done) }()
 		}
 		fmt.Fprintf(os.Stderr, "experiments: live stats on http://%s\n", addr)
-	}
-
-	if *coordinator != "" {
-		// Fleet mode: attach the coordinator's blob store as the cache's
-		// remote tier and offer the standard matrix (every app × scheme,
-		// input 0) to the fleet before running. Experiments then replay
-		// fleet results as remote cache hits; everything else — sweeps,
-		// derived stats, anything the fleet dropped — executes locally,
-		// so the output is byte-identical with or without a fleet.
-		client := twigd.NewClient(*coordinator)
-		cache.SetRemote(client.Blobs(), runner.DefaultRemoteBackoff(), -1)
-		if runner.Cacheable(ctx.Opts) {
-			specs := twigd.MatrixSpecs(ctx.SimConfig(), ctx.Apps, nil, []int{0})
-			err := client.Drain(sigCtx, specs, func(msg string) {
-				fmt.Fprintln(os.Stderr, "coordinator:", msg)
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "coordinator: %v; continuing locally\n", err)
-				if client.Ping() != nil {
-					cache.SetRemote(nil, runner.Backoff{}, 0)
-				}
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "coordinator: runs carry telemetry observers; not distributing (remote cache still attached)")
-		}
 	}
 
 	start := time.Now()

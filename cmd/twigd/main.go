@@ -6,9 +6,11 @@
 //	twigd -listen :9090                        # in-memory blobs
 //	twigd -listen :9090 -lease 30s             # slower lease expiry
 //
-// Workers (cmd/twigworker) claim jobs from it; clients (twig.RunMatrix
-// with Config.Coordinator, cmd/experiments -coordinator) submit work
-// and read results back through the shared cache. Watch the fleet with
+// Workers (cmd/twigworker) claim jobs from it. A client (twig.RunMatrix
+// with Config.Coordinator, cmd/experiments -coordinator) attaches it
+// once: its runner offers each Runner.Schemes call's cache misses as
+// one job, waits for the job to settle, and reads the results back
+// through the shared cache. Watch the fleet with
 // `twigtop -url http://host:9090`.
 package main
 

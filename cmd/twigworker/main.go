@@ -29,7 +29,7 @@ func main() {
 		name        = flag.String("name", "", "worker name on the fleet view (default host-pid)")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations within one claimed job")
 		cacheDir    = flag.String("cache", runner.DefaultCacheDir(), "local disk cache directory (default $"+runner.CacheDirEnv+"; empty = memory + remote only)")
-		poll        = flag.Duration("poll", 200*time.Millisecond, "idle claim-poll base interval (backs off exponentially)")
+		poll        = flag.Duration("poll", 200*time.Millisecond, "base interval between retries of a failed claim (backs off exponentially)")
 	)
 	flag.Parse()
 	if *coordinator == "" {

@@ -2,7 +2,9 @@ package twig
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -36,7 +38,21 @@ func startTestFleet(t *testing.T, n int) (string, []*twigd.Worker) {
 		workers[i] = w
 		go w.Run(ctx)
 	}
-	return url, workers
+	// A wait finding no live worker runs the call locally, so the fleet
+	// is ready only once every worker has registered.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		var st twigd.StatusResponse
+		if resp, err := http.Get(url + "/v1/status"); err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err == nil && st.AliveWorkers >= n {
+				return url, workers
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers registered", st.AliveWorkers, n)
+		}
+	}
 }
 
 // TestRunMatrixWithCoordinatorByteIdentical is the facade-level fleet
@@ -114,5 +130,43 @@ func TestRunMatrixCoordinatorUnreachableDegradesToLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, got) {
 		t.Fatal("degraded matrix differs from plain local matrix")
+	}
+}
+
+// TestRunMatrixCoordinatorWithoutWorkersRunsLocally pins the dead-fleet
+// rule: a reachable coordinator with no registered worker answers the
+// wait at once (work pending, nothing leased, no worker alive), so the
+// matrix computes locally, identically, long before a lease could
+// expire.
+func TestRunMatrixCoordinatorWithoutWorkersRunsLocally(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a window")
+	}
+	plain, err := RunMatrix(matrixConfig("", 1), []App{Verilator}, []string{"baseline"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 10 * time.Minute
+	srv := twigd.NewServer(twigd.NewMemBlobs(), ttl)
+	addr, stop, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	cfg := matrixConfig("", 1)
+	cfg.Coordinator = "http://" + addr
+	start := time.Now()
+	got, err := RunMatrix(cfg, []App{Verilator}, []string{"baseline"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, got) {
+		t.Fatal("matrix beside a workerless fleet differs from plain local matrix")
+	}
+	if took := time.Since(start); took > ttl/10 {
+		t.Fatalf("took %s: the client waited on a fleet with no worker", took)
+	}
+	if c := srv.Queue().Counts(); c.Pending != 1 || c.Done != 0 {
+		t.Fatalf("queue = %+v, want the offered job still pending", c)
 	}
 }

@@ -54,7 +54,7 @@ func (a *Artifacts) CheckpointScheme(name string, input int, opts Options, at in
 // result is bit-identical to an uninterrupted RunScheme under the same
 // telemetry-free options.
 func (a *Artifacts) ResumeScheme(name string, input int, opts Options, data []byte) (*pipeline.Result, error) {
-	cfg, prog, err := a.schemeSimConfig(name, opts)
+	cfg, prog, err := a.schemeBareConfig(name, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (a *Artifacts) ResumeScheme(name string, input int, opts Options, data []by
 // schemeSim builds a fresh incremental simulator for one named scheme,
 // positioned at instruction zero.
 func (a *Artifacts) schemeSim(name string, input int, opts Options) (*pipeline.Sim, pipeline.Config, error) {
-	cfg, prog, err := a.schemeSimConfig(name, opts)
+	cfg, prog, err := a.schemeBareConfig(name, opts)
 	if err != nil {
 		return nil, pipeline.Config{}, err
 	}
@@ -90,11 +90,11 @@ func (a *Artifacts) schemeSim(name string, input int, opts Options) (*pipeline.S
 	return sim, cfg, nil
 }
 
-// schemeSimConfig is schemeConfig with telemetry stripped — the
+// schemeBareConfig is schemeConfig with telemetry stripped — the
 // checkpoint codec refuses telemetry-carrying configurations because
 // registry gauges and trace streams are not reconstructible from a
 // checkpoint.
-func (a *Artifacts) schemeSimConfig(name string, opts Options) (pipeline.Config, *program.Program, error) {
+func (a *Artifacts) schemeBareConfig(name string, opts Options) (pipeline.Config, *program.Program, error) {
 	opts.Telemetry = pipeline.Telemetry{}
 	return a.schemeConfig(name, opts)
 }

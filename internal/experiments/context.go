@@ -23,7 +23,6 @@ import (
 	"twig/internal/core"
 	"twig/internal/pipeline"
 	"twig/internal/runner"
-	"twig/internal/twigd"
 	"twig/internal/workload"
 )
 
@@ -75,29 +74,6 @@ func (c *Context) Runner() *runner.Runner { return c.run }
 
 // SetContext sets the cancellation context inherited by every job.
 func (c *Context) SetContext(ctx stdctx.Context) { c.ctx = ctx }
-
-// SimConfig projects the context's operating point onto the
-// serializable twigd.SimConfig, so the standard matrix can be offered
-// to a fleet with hashes that match this context's own jobs.
-// TestSimConfigRoundTrip pins the equivalence (twigd.SimConfig.Options
-// must reconstruct Opts exactly, canonical-encoding-wise).
-func (c *Context) SimConfig() twigd.SimConfig {
-	return twigd.SimConfig{
-		Instructions:        c.Opts.Pipeline.MaxInstructions,
-		Warmup:              c.Opts.Pipeline.Warmup,
-		BTBEntries:          c.Opts.BTB.Entries,
-		BTBWays:             c.Opts.BTB.Ways,
-		FTQSize:             c.Opts.Pipeline.FTQSize,
-		PrefetchBuffer:      c.Opts.PrefetchBuffer,
-		PrefetchDistance:    c.Opts.Opt.PrefetchDistance,
-		CoalesceMaskBits:    c.Opts.Opt.CoalesceMaskBits,
-		DisableCoalescing:   c.Opts.Opt.DisableCoalescing,
-		SampleRate:          c.Opts.SampleRate,
-		ProfileInstructions: c.Opts.ProfileInstructions,
-		Epoch:               c.Opts.Telemetry.EpochLength,
-		Sample:              c.Opts.Sample,
-	}
-}
 
 // clone returns a Context sharing this one's runner (and therefore
 // its memoized results) but rendering to a different writer.
@@ -204,7 +180,7 @@ func (c *Context) Schemes(app workload.App, input int, names ...string) (map[str
 // home: one name is a job of its own, several are one group. The
 // identity comes from runner.TableMembers, so a variant at the context's
 // operating point is the table run, and a sweep point hashes as
-// RunMatrix and twigd workers would for its options. The binary comes
+// RunMatrix would for its options. The binary comes
 // from runner.TrainingJob: the context's own artifacts when tr trains
 // as the context does, a re-analysis of the context's profile when only
 // the analysis configuration differs, and a retraining otherwise.

@@ -191,13 +191,15 @@ func TrainingJob(app workload.App, tr Training, home core.Options) *Job {
 // Schemes resolves the named schemes' runs of (app, input) under opts,
 // keyed by scheme name, for a client at home: each run has its
 // TableMembers identity, and an Optimized scheme runs the binary of
-// TrainingJob(app, tr, home). One name resolves as a job of its own.
-// Several resolve as one group (GroupResult): members already resolved
-// or cached peel out, so a solo run of any scheme serves, and is served
-// by, the group, and the rest run as one core.RunSchemes pass over a
-// shared broadcast stream on one worker slot. Either way the job's
-// ledger span rides in opts, so the pipeline's phase spans nest under
-// it, and executed runs credit their instructions to AddSimInstructions.
+// TrainingJob(app, tr, home). Runs no cache tier holds are first
+// offered to the Fleet, if one is attached. One name resolves as a job
+// of its own. Several resolve as one group (GroupResult): members
+// already resolved or cached peel out, so a solo run of any scheme
+// serves, and is served by, the group, and the rest run as one
+// core.RunSchemes pass over a shared broadcast stream on one worker
+// slot. Either way the job's ledger span rides in opts, so the
+// pipeline's phase spans nest under it, and executed runs credit their
+// instructions to AddSimInstructions.
 func (r *Runner) Schemes(ctx context.Context, app workload.App, input int, names []string, opts core.Options, tr Training, home core.Options) (map[string]*pipeline.Result, error) {
 	out := make(map[string]*pipeline.Result, len(names))
 	if len(names) == 0 {
@@ -207,6 +209,7 @@ func (r *Runner) Schemes(ctx context.Context, app workload.App, input int, names
 	if err != nil {
 		return nil, err
 	}
+	r.offer(ctx, app, input, names, members, opts, tr, home)
 	byID := make(map[string]string, len(names))
 	for i, m := range members {
 		byID[m.ID] = names[i]

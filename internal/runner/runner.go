@@ -113,6 +113,10 @@ type Options struct {
 	Backoff Backoff
 	// Cache persistently memoizes hashed job payloads; nil disables.
 	Cache *Cache
+	// Fleet, with Cache's remote tier, runs the table-scheme runs that
+	// Schemes finds in no cache tier on other machines (see Fleet); nil
+	// runs everything here. A fleet worker's own runner has none.
+	Fleet Fleet
 	// Ledger records the span-structured run ledger: every resolved job
 	// becomes a root span with cache-probe, queue-wait and execution
 	// attempt children, and the job span travels into Run's context

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"time"
 
+	"twig/internal/core"
 	"twig/internal/runner"
+	"twig/internal/workload"
 )
 
 // Client talks to one coordinator. The zero HTTP client and zero Retry
@@ -49,18 +51,20 @@ func (c *Client) httpClient() *http.Client {
 // do performs one JSON RPC with bounded retries on transport failure.
 // HTTP-level errors (4xx/5xx) are returned without retry: they are
 // answers, not outages.
-func (c *Client) do(path string, req, resp any) error {
+func (c *Client) do(ctx context.Context, path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("twigd: encoding %s: %w", path, err)
 	}
 	var last error
 	for attempt := 0; ; attempt++ {
-		last = c.doOnce(path, body, resp)
+		last = c.doOnce(ctx, path, body, resp)
 		if last == nil || !isTransport(last) || attempt >= c.Retries {
 			return last
 		}
-		time.Sleep(c.Retry.Delay(attempt + 1))
+		if c.Retry.Sleep(ctx, attempt+1) != nil {
+			return last
+		}
 	}
 }
 
@@ -79,8 +83,13 @@ func isTransport(err error) bool {
 	return ok
 }
 
-func (c *Client) doOnce(path string, body []byte, resp any) error {
-	httpResp, err := c.httpClient().Post(c.Base+path, "application/json", bytes.NewReader(body))
+func (c *Client) doOnce(ctx context.Context, path string, body []byte, resp any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("twigd: %s: %w", path, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	httpResp, err := c.httpClient().Do(req)
 	if err != nil {
 		return transportError{fmt.Errorf("twigd: %s: %w", path, err)}
 	}
@@ -98,7 +107,8 @@ func (c *Client) doOnce(path string, body []byte, resp any) error {
 	return nil
 }
 
-// get performs one GET RPC (no retries — callers poll anyway).
+// get performs one GET RPC without retries: a coordinator that does
+// not answer Ping is not attached.
 func (c *Client) get(path string, resp any) error {
 	httpResp, err := c.httpClient().Get(c.Base + path)
 	if err != nil {
@@ -121,45 +131,39 @@ func (c *Client) Ping() error {
 // Register announces a worker.
 func (c *Client) Register(worker string, slots int) (RegisterResponse, error) {
 	var resp RegisterResponse
-	err := c.do("/v1/register", RegisterRequest{Worker: worker, Slots: slots}, &resp)
+	err := c.do(context.Background(), "/v1/register", RegisterRequest{Worker: worker, Slots: slots}, &resp)
 	return resp, err
 }
 
-// Claim asks for one job; a nil job means nothing is claimable.
-func (c *Client) Claim(worker string) (ClaimResponse, error) {
+// Claim asks for one job, which the coordinator may hold open for a
+// while until one arrives; a nil job means nothing became claimable.
+func (c *Client) Claim(ctx context.Context, worker string) (ClaimResponse, error) {
 	var resp ClaimResponse
-	err := c.do("/v1/claim", ClaimRequest{Worker: worker}, &resp)
+	err := c.do(ctx, "/v1/claim", ClaimRequest{Worker: worker}, &resp)
 	return resp, err
 }
 
 // Heartbeat extends a lease; ok false means the lease is lost.
 func (c *Client) Heartbeat(worker, job string, instructions int64) (bool, error) {
 	var resp HeartbeatResponse
-	err := c.do("/v1/heartbeat", HeartbeatRequest{Worker: worker, Job: job, Instructions: instructions}, &resp)
+	err := c.do(context.Background(), "/v1/heartbeat", HeartbeatRequest{Worker: worker, Job: job, Instructions: instructions}, &resp)
 	return resp.OK, err
 }
 
 // Complete settles a lease.
 func (c *Client) Complete(req CompleteRequest) (bool, error) {
 	var resp CompleteResponse
-	err := c.do("/v1/complete", req, &resp)
+	err := c.do(context.Background(), "/v1/complete", req, &resp)
 	return resp.OK, err
 }
 
 // Submit enqueues jobs, returning their queue IDs.
-func (c *Client) Submit(jobs []JobSpec) ([]string, error) {
+func (c *Client) Submit(ctx context.Context, jobs []JobSpec) ([]string, error) {
 	var resp SubmitResponse
-	if err := c.do("/v1/submit", SubmitRequest{Jobs: jobs}, &resp); err != nil {
+	if err := c.do(ctx, "/v1/submit", SubmitRequest{Jobs: jobs}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.IDs, nil
-}
-
-// Status returns the queue counts and alive-worker count.
-func (c *Client) Status() (StatusResponse, error) {
-	var resp StatusResponse
-	err := c.get("/v1/status", &resp)
-	return resp, err
 }
 
 // Blobs adapts the coordinator's /blob endpoint to the runner's
@@ -205,64 +209,43 @@ func (b blobClient) Store(hash string, data []byte) error {
 	return nil
 }
 
-// drainPoll is how often Drain re-reads the coordinator's status.
-const drainPoll = 250 * time.Millisecond
+// Attach attaches the coordinator at base to a client: its blob store
+// as cache's remote tier, and its Client as the returned runner.Fleet.
+// A coordinator that does not answer attaches nothing.
+func Attach(base string, cache *runner.Cache) (runner.Fleet, error) {
+	c := NewClient(base)
+	if err := c.Ping(); err != nil {
+		return nil, err
+	}
+	cache.SetRemote(c.Blobs(), c.Retry, c.Retries)
+	return c, nil
+}
 
-// Drain submits specs and blocks until the fleet has settled every
-// queued job (done or failed), then returns nil — the caller's local
-// execution path picks the results up as remote cache hits and
-// re-executes anything that failed. It returns an error (and the
-// caller degrades to pure local execution) when the coordinator is
-// unreachable, the submission is rejected, the context is cancelled,
-// or no alive worker holds a lease while work is still pending — a
-// fleet that cannot make progress must not stall the client.
-// progress, when non-nil, receives human-readable status lines.
-func (c *Client) Drain(ctx context.Context, specs []JobSpec, progress func(string)) error {
-	say := func(msg string) {
-		if progress != nil {
-			progress(msg)
-		}
-	}
-	if len(specs) == 0 {
-		return nil
-	}
-	if _, err := c.Submit(specs); err != nil {
-		return err
-	}
-	say(fmt.Sprintf("%d jobs submitted", len(specs)))
-	idle, lastLine := 0, ""
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(drainPoll):
-		}
-		st, err := c.Status()
+// Offer implements runner.Fleet: it submits one Runner.Schemes call as
+// one job and blocks on /v1/wait until the job settles. A job the
+// coordinator no longer holds (a restart lost its in-memory queue) is
+// resubmitted, up to Retries times. An unreachable coordinator, a
+// refused spec or a stalled fleet ends the offer with an error.
+func (c *Client) Offer(ctx context.Context, app workload.App, input int, names []string, opts core.Options, tr runner.Training, home core.Options) error {
+	spec := NewJobSpec(app, input, names, opts, tr, home)
+	for submit := 0; submit <= c.Retries; submit++ {
+		ids, err := c.Submit(ctx, []JobSpec{spec})
 		if err != nil {
-			if !isTransport(err) {
+			return err
+		}
+		var resp WaitResponse
+		for !resp.Settled && !resp.Stalled && len(resp.Unknown) == 0 {
+			resp = WaitResponse{}
+			if err := c.do(ctx, "/v1/wait", WaitRequest{IDs: ids}, &resp); err != nil {
 				return err
 			}
-			idle++
-			if idle > c.Retries+1 {
-				return fmt.Errorf("twigd: coordinator unreachable: %w", err)
-			}
-			continue
 		}
-		idle = 0
-		q := st.Queue
-		if line := fmt.Sprintf("%d pending, %d leased, %d done, %d failed, %d workers",
-			q.Pending, q.Leased, q.Done, q.Failed, st.AliveWorkers); line != lastLine {
-			say(line)
-			lastLine = line
-		}
-		if q.Pending == 0 && q.Leased == 0 {
-			if q.Failed > 0 {
-				say(fmt.Sprintf("%d jobs failed on the fleet; they will re-execute locally", q.Failed))
-			}
+		switch {
+		case resp.Stalled:
+			return fmt.Errorf("twigd: job %s: no alive worker", ids[0])
+		case resp.Settled:
 			return nil
 		}
-		if st.AliveWorkers == 0 && q.Leased == 0 {
-			return fmt.Errorf("twigd: no alive workers (%d jobs pending)", q.Pending)
-		}
 	}
+	return fmt.Errorf("twigd: the coordinator lost the job %d times", c.Retries+1)
 }

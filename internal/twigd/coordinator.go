@@ -19,6 +19,10 @@ import (
 // times the heartbeat interval survive.
 const DefaultLeaseTTL = 15 * time.Second
 
+// waitWindow bounds one /v1/wait or /v1/claim request, well inside a
+// client's HTTP timeout; the client then asks again.
+const waitWindow = 10 * time.Second
+
 // maxBlobBytes bounds one blob upload (a training profile of a large
 // window is megabytes; a result envelope is kilobytes).
 const maxBlobBytes = 1 << 30
@@ -88,6 +92,7 @@ func (s *Server) ExpireNow() int {
 //	POST /v1/heartbeat  extend a lease, report progress
 //	POST /v1/complete   settle a lease
 //	POST /v1/submit     enqueue jobs
+//	POST /v1/wait       block until the named jobs settle
 //	GET  /v1/status     queue counts + alive workers
 //	GET  /v1/jobs       per-job states
 //	GET  /blob/{hash}   download an envelope (404 = miss)
@@ -100,6 +105,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/v1/complete", s.handleComplete)
 	mux.HandleFunc("/v1/submit", s.handleSubmit)
+	mux.HandleFunc("/v1/wait", s.handleWait)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/blob/", s.handleBlob)
@@ -178,8 +184,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	s.ExpireNow() // reassign lost leases before answering "nothing to do"
-	job := s.queue.Claim(req.Worker, time.Now())
+	// An idle worker's claim waits up to TTL/3 for a job to arrive.
+	var job *JobSpec
+	s.await(r, min(s.queue.TTL()/3, waitWindow), func() bool {
+		job = s.queue.Claim(req.Worker, time.Now())
+		return job != nil
+	})
 	s.mu.Lock()
 	info := s.touch(req.Worker)
 	if job != nil {
@@ -187,6 +197,28 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, ClaimResponse{Job: job, LeaseTTLMs: s.queue.TTL().Milliseconds()})
+}
+
+// await calls try at once and again at every queue state change
+// until it reports true, the window ends or the request goes away.
+// Lost leases are reassigned before each try.
+func (s *Server) await(r *http.Request, window time.Duration, try func() bool) {
+	timer := time.NewTimer(window)
+	defer timer.Stop()
+	for {
+		s.ExpireNow()
+		changed := s.queue.Changed()
+		if try() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			return
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -245,18 +277,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResponse{IDs: ids})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.ExpireNow()
+// handleWait answers when the named jobs settle, when one of them is
+// unknown (a restarted coordinator lost it), when the fleet is stalled
+// (a named job is pending, no job is leased and no worker is alive),
+// or when waitWindow ends.
+func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
+	var req WaitRequest
+	if !readJSON(w, r, &req) {
+		return
+	}
+	var resp WaitResponse
+	s.await(r, waitWindow, func() bool {
+		var pending bool
+		resp, pending = s.queue.Progress(req.IDs)
+		resp.Stalled = pending && s.queue.Counts().Leased == 0 && s.aliveWorkers() == 0
+		return resp.Settled || resp.Stalled || len(resp.Unknown) > 0
+	})
+	writeJSON(w, resp)
+}
+
+// aliveWorkers counts the workers seen within the liveness window.
+func (s *Server) aliveWorkers() int {
 	alive := 0
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, info := range s.workers {
 		if now.Sub(info.lastSeen) <= s.aliveWindow() {
 			alive++
 		}
 	}
-	s.mu.Unlock()
-	writeJSON(w, StatusResponse{Queue: s.queue.Counts(), AliveWorkers: alive})
+	return alive
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	s.ExpireNow()
+	writeJSON(w, StatusResponse{Queue: s.queue.Counts(), AliveWorkers: s.aliveWorkers()})
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

@@ -8,11 +8,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"twig/internal/core"
+	"twig/internal/pipeline"
 	"twig/internal/runner"
+	"twig/internal/telemetry"
 	"twig/internal/workload"
 )
 
@@ -46,6 +51,13 @@ func startFleet(t *testing.T, blobs BlobStore, ttl time.Duration, n int) *fleet 
 		f.workers = append(f.workers, w)
 		go w.Run(ctx)
 	}
+	// A wait finding no live worker runs the call locally, so the fleet
+	// is ready only once every worker has registered.
+	for deadline := time.Now().Add(time.Minute); srv.aliveWorkers() < n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers registered", srv.aliveWorkers(), n)
+		}
+	}
 	return f
 }
 
@@ -58,25 +70,49 @@ func (f *fleet) completed() int64 {
 	return n
 }
 
-func drain(t *testing.T, c *Client, specs []JobSpec) {
+// window returns the paper's options at a short simulation window.
+func window(instructions int64) core.Options {
+	opts := core.DefaultOptions()
+	opts.Pipeline.MaxInstructions = instructions
+	return opts
+}
+
+// offer runs one Runner.Schemes call's worth of work on the fleet, as
+// a client at home at opts would, and fails the test unless the fleet
+// settles it.
+func offer(t *testing.T, c *Client, app workload.App, schemes []string, opts core.Options) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := c.Drain(ctx, specs, nil); err != nil {
+	if err := c.Offer(ctx, app, 0, schemes, opts, runner.Training{Opts: opts}, opts); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// memberHash returns the content hash of one scheme's run of verilator
+// at input 0 for a client at home at opts.
+func memberHash(t *testing.T, scheme string, opts core.Options) string {
+	t.Helper()
+	m, err := runner.SchemeMember(scheme, workload.Verilator, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Hash
+}
+
+// TestFleetDrainsMatrixToSharedStore offers one group call to a
+// two-worker fleet and checks that its results land in the shared
+// store under the hashes the local paths address, and that offering
+// the same work again runs nothing.
 func TestFleetDrainsMatrixToSharedStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates several windows")
 	}
 	blobs := NewMemBlobs()
 	f := startFleet(t, blobs, 5*time.Second, 2)
-	cfg := SimConfig{Instructions: 50_000}
+	opts := window(50_000)
 	schemes := []string{"baseline", "twig"}
-	specs := MatrixSpecs(cfg, []workload.App{workload.Verilator}, schemes, nil)
-	drain(t, f.client, specs)
+	offer(t, f.client, workload.Verilator, schemes, opts)
 
 	if c := f.srv.Queue().Counts(); c.Done != 1 || c.Failed != 0 {
 		t.Fatalf("queue = %+v, want the one schemes job done", c)
@@ -89,13 +125,8 @@ func TestFleetDrainsMatrixToSharedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.SetRemote(f.client.Blobs(), runner.Backoff{}, 0)
-	opts := cfg.Options()
 	for _, scheme := range schemes {
-		memo, err := runner.SchemeMemoKey(scheme, workload.Verilator, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash := runner.HashSim(memo, opts)
+		hash := memberHash(t, scheme, opts)
 		if _, err := blobs.Get(hash); err != nil {
 			t.Fatalf("store lacks %s result %s: %v", scheme, hash[:12], err)
 		}
@@ -104,15 +135,15 @@ func TestFleetDrainsMatrixToSharedStore(t *testing.T) {
 		}
 	}
 
-	// Re-draining the same matrix is free: submission is idempotent,
-	// every job is already done, and no worker runs anything new.
+	// Offering the same work again is free: submission is idempotent,
+	// the job is already done, and no worker runs anything new.
 	before := f.completed()
-	drain(t, f.client, specs)
+	offer(t, f.client, workload.Verilator, []string{"twig", "baseline"}, opts)
 	if c := f.srv.Queue().Counts(); c.Done != 1 {
 		t.Fatalf("warm queue = %+v, want still exactly one job", c)
 	}
 	if got := f.completed(); got != before {
-		t.Fatalf("warm re-drain ran %d new jobs", got-before)
+		t.Fatalf("warm re-offer ran %d new jobs", got-before)
 	}
 	if st := blobs.Stats(); st.Puts == 0 || st.Blobs == 0 {
 		t.Fatalf("store stats = %+v, want recorded puts", st)
@@ -120,9 +151,10 @@ func TestFleetDrainsMatrixToSharedStore(t *testing.T) {
 }
 
 // TestLeaseExpiryReassignsToLiveWorker kills a worker mid-lease (by
-// never heartbeating) and checks the fleet still completes the matrix:
-// the lease expires, the job requeues, a live worker claims it, and
-// the ghost's late completion is dropped.
+// never heartbeating) and checks the fleet still completes the job:
+// the lease expires, the job requeues, a live worker claims it, the
+// client's wait ends when it is done, and the ghost's late completion
+// is dropped.
 func TestLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a window under a short lease")
@@ -136,14 +168,14 @@ func TestLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	t.Cleanup(stop)
 	client := NewClient("http://" + addr)
 
-	specs := MatrixSpecs(SimConfig{Instructions: 50_000},
-		[]workload.App{workload.Verilator}, []string{"baseline"}, nil)
-	ids, err := client.Submit(specs)
+	opts := window(50_000)
+	spec := NewJobSpec(workload.Verilator, 0, []string{"baseline"}, opts, runner.Training{Opts: opts}, opts)
+	ids, err := client.Submit(context.Background(), []JobSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The ghost claims the job and is never heard from again.
-	resp, err := client.Claim("ghost")
+	resp, err := client.Claim(context.Background(), "ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +188,17 @@ func TestLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	w := &Worker{Client: NewClient("http://" + addr), Name: "live", Jobs: 2, Poll: 20 * time.Millisecond}
 	go w.Run(ctx)
 
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		st, err := client.Status()
-		if err == nil && st.Queue.Done == len(ids) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("matrix did not complete after lease expiry: %+v", st)
-		}
-		time.Sleep(50 * time.Millisecond)
+	// Offering the same work resubmits it idempotently and waits through
+	// the expiry until the live worker has done it.
+	offer(t, client, workload.Verilator, []string{"baseline"}, opts)
+	if st := srv.Queue().Counts(); st.Done != 1 || st.Failed != 0 {
+		t.Fatalf("queue = %+v, want the job done after lease expiry", st)
 	}
-	if jobs := srv.Queue().Jobs(); len(jobs) != 1 || jobs[0].Requeues < 1 {
+	if jobs := srv.Queue().Jobs(); len(jobs) != 1 || jobs[0].Requeues < 1 || jobs[0].Worker != "" {
 		t.Fatalf("jobs = %+v, want the job requeued at least once", jobs)
+	}
+	if _, err := blobs.Get(memberHash(t, "baseline", opts)); err != nil {
+		t.Fatalf("the live worker's result is not in the store: %v", err)
 	}
 	// The ghost's completion arrives after reassignment: dropped.
 	ok, err := client.Complete(CompleteRequest{Worker: "ghost", Job: ids[0], OK: true})
@@ -188,13 +218,8 @@ func TestCorruptRemoteBlobReexecutedOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a window")
 	}
-	cfg := SimConfig{Instructions: 50_000}
-	opts := cfg.Options()
-	memo, err := runner.SchemeMemoKey("baseline", workload.Verilator, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := runner.HashSim(memo, opts)
+	opts := window(50_000)
+	hash := memberHash(t, "baseline", opts)
 	corrupt := []byte(`{"format":"not a cache envelope"}`)
 
 	blobs := NewMemBlobs()
@@ -202,7 +227,7 @@ func TestCorruptRemoteBlobReexecutedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := startFleet(t, blobs, 5*time.Second, 1)
-	drain(t, f.client, MatrixSpecs(cfg, []workload.App{workload.Verilator}, []string{"baseline"}, nil))
+	offer(t, f.client, workload.Verilator, []string{"baseline"}, opts)
 
 	if c := f.srv.Queue().Counts(); c.Done != 1 || c.Failed != 0 {
 		t.Fatalf("queue = %+v, want the job done despite the corrupt blob", c)
@@ -224,14 +249,36 @@ func TestCorruptRemoteBlobReexecutedOverHTTP(t *testing.T) {
 	}
 }
 
+// submitStatus posts body to /v1/submit and returns the status code
+// and message.
+func submitStatus(t *testing.T, c *Client, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(c.Base+"/v1/submit", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, string(msg)
+}
+
+// requireEmptyQueue fails unless the coordinator has queued nothing.
+func requireEmptyQueue(t *testing.T, f *fleet, what string) {
+	t.Helper()
+	if c := f.srv.Queue().Counts(); c != (QueueCounts{}) {
+		t.Errorf("%s: queue = %+v after a rejected submit, want all zero", what, c)
+	}
+}
+
 // TestSubmitIsAllOrNothing pins /v1/submit over HTTP: a batch with an
 // invalid spec is answered 400 and queues none of its valid specs, and
-// a spec in the retired checkpoint shape (type, scheme, at, wait_for)
-// is refused by name instead of running as some other job.
+// a spec in a retired shape (the checkpoint job's type, scheme, at,
+// wait_for and config) is refused by name instead of running as some
+// other job.
 func TestSubmitIsAllOrNothing(t *testing.T) {
 	f := startFleet(t, NewMemBlobs(), time.Second, 0)
-	valid := MatrixSpecs(SimConfig{Instructions: 50_000},
-		[]workload.App{workload.Verilator}, []string{"baseline"}, nil)[0]
+	opts := window(50_000)
+	valid := NewJobSpec(workload.Verilator, 0, []string{"baseline"}, opts, runner.Training{Opts: opts}, opts)
 	bad := valid
 	bad.Schemes = []string{"warp-drive"}
 	batch, err := json.Marshal(SubmitRequest{Jobs: []JobSpec{valid, bad}})
@@ -243,22 +290,136 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		{"checkpoint-shaped", `{"jobs":[{"type":"checkpoint","app":"verilator","scheme":"twig",` +
 			`"at":30000,"wait_for":[],"config":{"instructions":60000}}]}`, "unknown field"},
 	} {
-		resp, err := http.Post(f.client.Base+"/v1/submit", "application/json", strings.NewReader(tc.body))
+		if code, msg := submitStatus(t, f.client, tc.body); code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.name, code, msg, tc.want)
+		}
+		requireEmptyQueue(t, f, tc.name)
+	}
+}
+
+// TestSubmitRefusesWhatAWorkerCannotRun pins JobSpec.Validate over
+// HTTP: an option set whose BTB geometry the simulator cannot build,
+// in any of the spec's three option sets, or one that carries an
+// observer, is answered 400 and queues nothing, instead of reaching a
+// worker as a job that fails.
+func TestSubmitRefusesWhatAWorkerCannotRun(t *testing.T) {
+	f := startFleet(t, NewMemBlobs(), time.Second, 0)
+	opts := window(50_000)
+	spec := func(edit func(*JobSpec)) JobSpec {
+		s := NewJobSpec(workload.Verilator, 0, []string{"baseline", "twig"}, opts, runner.Training{Opts: opts}, opts)
+		edit(&s)
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"1000-entry BTB", spec(func(s *JobSpec) { s.Opts.BTB.Entries = 1000 }), "opts: btb: sets 250 not a power of two"},
+		{"8K 3-way training BTB", spec(func(s *JobSpec) { s.Train.Opts.BTB.Ways = 3 }), "train: btb: invalid geometry"},
+		{"home with a registry", spec(func(s *JobSpec) { s.Home.Telemetry.Registry = telemetry.NewRegistry() }), "home: carries an observer"},
+	} {
+		body, err := json.Marshal(SubmitRequest{Jobs: []JobSpec{tc.spec}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
-			t.Errorf("%s: %s %q, want 400 naming %q", tc.name, resp.Status, msg, tc.want)
+		if code, msg := submitStatus(t, f.client, string(body)); code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.name, code, msg, tc.want)
 		}
-		st, err := f.client.Status()
+		requireEmptyQueue(t, f, tc.name)
+	}
+}
+
+// TestOfferSurvivesCoordinatorRestart replaces the coordinator on the
+// same address while a client waits on a job. The new coordinator has
+// lost the in-memory queue, so the wait names a job it does not know;
+// the client resubmits, the new fleet runs the job, and the client's
+// runner replays it, equal to a local run and executing nothing itself.
+func TestOfferSurvivesCoordinatorRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a window")
+	}
+	opts := window(50_000)
+	schemes := []string{"baseline", "twig"}
+	tr := runner.Training{Opts: opts}
+	want, err := runner.New(runner.Options{Workers: 2}).Schemes(context.Background(), workload.Verilator, 0, schemes, opts, tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old := NewServer(NewMemBlobs(), time.Minute)
+	addr, stopOld, err := old.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stopOld)
+	url := "http://" + addr
+	client := NewClient(url)
+	cache, err := runner.OpenCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.SetRemote(client.Blobs(), client.Retry, client.Retries)
+	run := runner.New(runner.Options{Workers: 2, Cache: cache, Fleet: client})
+	// The ghost registers before the client offers anything, so the
+	// client's wait never finds a fleet without a live worker.
+	ghost := NewClient(url)
+	if _, err := ghost.Register("ghost", 1); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res map[string]*pipeline.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := run.Schemes(context.Background(), workload.Verilator, 0, schemes, opts, tr, opts)
+		done <- outcome{res, err}
+	}()
+
+	// A ghost worker claims the job and sits on it, so the client is
+	// waiting when the coordinator goes away.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := ghost.Claim(context.Background(), "ghost")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Queue != (QueueCounts{}) {
-			t.Errorf("%s: queue = %+v after a rejected submit, want all zero", tc.name, st.Queue)
+		if resp.Job != nil {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never submitted its job")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	stopOld()
+	// The new coordinator knows its worker before it answers anyone, so
+	// the client's next wait finds a live fleet.
+	restarted := NewServer(NewMemBlobs(), time.Minute)
+	restarted.Handler().ServeHTTP(httptest.NewRecorder(),
+		httptest.NewRequest(http.MethodPost, "/v1/register", strings.NewReader(`{"worker":"w","slots":2}`)))
+	if _, stop, err := restarted.Start(addr); err != nil {
+		t.Fatal(err)
+	} else {
+		t.Cleanup(stop)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	w := &Worker{Client: NewClient(url), Name: "w", Jobs: 2, Poll: 20 * time.Millisecond}
+	go w.Run(ctx)
+
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !reflect.DeepEqual(got.res, want) {
+		t.Fatal("results after the restart differ from the local run")
+	}
+	if c := restarted.Queue().Counts(); c.Done != 1 || c.Failed != 0 {
+		t.Fatalf("restarted queue = %+v, want the resubmitted job done", c)
+	}
+	if st := run.Stats(); st.SimRuns != 0 || st.ProfileRuns != 0 {
+		t.Fatalf("client ran %d sims and %d profiles, want the fleet to run them", st.SimRuns, st.ProfileRuns)
 	}
 }
 

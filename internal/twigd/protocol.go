@@ -1,184 +1,107 @@
 // Package twigd is the distributed simulation service: a coordinator
-// that serves the runner's job queue over HTTP/JSON to a fleet of
-// workers sharing one remote, content-addressed result cache.
+// that serves a job queue over HTTP/JSON to a fleet of workers sharing
+// one remote, content-addressed result cache.
 //
-// The design principle is that distribution is an accelerator, never a
-// correctness dependency. A client (the twig facade's RunMatrix, or
-// cmd/experiments) submits job specs to the coordinator, waits for the
-// fleet to drain them, and then runs its normal local execution path
-// with the coordinator's blob store attached as the result cache's
-// remote tier — every cell the fleet computed replays as a remote
-// cache hit, and anything the fleet did not finish (a lost worker, an
-// unreachable coordinator, a corrupted blob) executes locally exactly
-// as it would have without a fleet. Results are therefore byte-
-// identical with and without a coordinator, for any worker count, and
-// for any failure pattern.
-//
-// Robustness is first-class: jobs are claimed under expiring leases
-// (a worker that dies mid-job loses its lease and the job is
-// reassigned), every blob transfer retries with exponential backoff
-// and jitter, and blobs are re-validated on arrival (see
-// runner.RemoteCache) so corruption in transit or at rest degrades to
-// local re-execution, never to wrong numbers. See DESIGN.md §12 for
-// the protocol.
+// Distribution is an accelerator, never a correctness dependency. A
+// client attaches the coordinator once (Attach): its blob store becomes
+// the cache's remote tier and its Client the runner's runner.Fleet.
+// Each Runner.Schemes call then offers the fleet the runs no cache tier
+// holds, as one job carrying the call's own arguments, and replays the
+// fleet's results as remote hits; whatever the fleet did not finish (a
+// lost worker, an unreachable or restarted coordinator, a corrupted
+// blob) runs locally. Results are byte-identical with and without a
+// coordinator, for any worker count and any failure pattern. Jobs are
+// claimed under expiring leases, transfers retry with backoff, and
+// blobs are re-validated on arrival (runner.RemoteCache). See
+// DESIGN.md §12 for the protocol.
 package twigd
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"twig/internal/core"
+	"twig/internal/pipeline"
 	"twig/internal/runner"
-	"twig/internal/sampling"
 	"twig/internal/workload"
 )
 
-// SimConfig is the serializable evaluation operating point — the
-// subset of the facade's Config that can cross a process boundary.
-// It is the single source of the Config → core.Options mapping: the
-// twig facade delegates to Options() for its own runs, so a worker
-// decoding a SimConfig from the wire reconstructs exactly the
-// core.Options the submitting process used, and their content hashes
-// (runner.HashSim et al.) line up. Zero values mean "paper default".
-type SimConfig struct {
-	// Instructions is the simulation window in original instructions.
-	Instructions int64 `json:"instructions,omitempty"`
-	// Warmup simulates (but does not measure) this many instructions
-	// first. The experiment harness warms half a window; the facade
-	// does not warm.
-	Warmup int64 `json:"warmup,omitempty"`
-	// BTBEntries / BTBWays size the baseline BTB.
-	BTBEntries int `json:"btb_entries,omitempty"`
-	BTBWays    int `json:"btb_ways,omitempty"`
-	// FTQSize is the decoupled frontend's run-ahead depth.
-	FTQSize int `json:"ftq_size,omitempty"`
-	// PrefetchBuffer is Twig's architectural buffer capacity.
-	PrefetchBuffer int `json:"prefetch_buffer,omitempty"`
-	// PrefetchDistance is the analysis' minimum site-to-miss distance.
-	PrefetchDistance float64 `json:"prefetch_distance,omitempty"`
-	// CoalesceMaskBits is the brcoalesce bitmask width.
-	CoalesceMaskBits int `json:"coalesce_mask_bits,omitempty"`
-	// DisableCoalescing evaluates software BTB prefetching alone.
-	DisableCoalescing bool `json:"disable_coalescing,omitempty"`
-	// SampleRate makes the profiler record every Nth BTB miss.
-	SampleRate int `json:"sample_rate,omitempty"`
-	// ProfileInstructions is the training-run length (0 = twice the
-	// evaluation window, the engine default).
-	ProfileInstructions int64 `json:"profile_instructions,omitempty"`
-	// Epoch, when > 0, snapshots every metric each Epoch committed
-	// instructions (it shapes Result.Series, so it is part of the
-	// content hash and must ride along).
-	Epoch int64 `json:"epoch,omitempty"`
-	// Sample configures interval-sampled estimation.
-	Sample sampling.Spec `json:"sample,omitzero"`
-}
-
-// Options maps the serializable operating point onto the engine's
-// options, exactly as the facade's Config does — the facade calls this
-// method, so the two cannot diverge.
-func (c SimConfig) Options() core.Options {
-	opts := core.DefaultOptions()
-	if c.Instructions > 0 {
-		opts.Pipeline.MaxInstructions = c.Instructions
-	}
-	if c.Warmup > 0 {
-		opts.Pipeline.Warmup = c.Warmup
-	}
-	if c.BTBEntries > 0 {
-		opts.BTB.Entries = c.BTBEntries
-	}
-	if c.BTBWays > 0 {
-		opts.BTB.Ways = c.BTBWays
-	}
-	if c.FTQSize > 0 {
-		opts.Pipeline.FTQSize = c.FTQSize
-	}
-	if c.PrefetchBuffer > 0 {
-		opts.PrefetchBuffer = c.PrefetchBuffer
-	}
-	if c.PrefetchDistance > 0 {
-		opts.Opt.PrefetchDistance = c.PrefetchDistance
-	}
-	if c.CoalesceMaskBits > 0 {
-		opts.Opt.CoalesceMaskBits = c.CoalesceMaskBits
-	}
-	opts.Opt.DisableCoalescing = c.DisableCoalescing
-	if c.SampleRate > 0 {
-		opts.SampleRate = c.SampleRate
-	}
-	if c.ProfileInstructions > 0 {
-		opts.ProfileInstructions = c.ProfileInstructions
-	}
-	if c.Epoch > 0 {
-		opts.Telemetry.EpochLength = c.Epoch
-	}
-	opts.Sample = c.Sample
-	return opts
-}
-
-// fingerprint is a short stable digest of the operating point, used to
-// namespace job IDs so specs that differ only in configuration never
-// collide in the coordinator's queue.
-func (c SimConfig) fingerprint() string {
-	sum := sha256.Sum256([]byte(runner.CanonicalOptions(c.Options())))
-	return hex.EncodeToString(sum[:6])
-}
-
-// JobSpec is one unit of fleet work: the named schemes of one
-// (app, input) point, simulated in one shared-stream pass over the
-// artifacts trained on input 0 — exactly how the local RunMatrix and
-// the experiments group them. It is self-contained: a worker needs
-// nothing but the spec (and the shared blob store) to execute it.
+// JobSpec is one unit of fleet work: one Runner.Schemes call, given by
+// exactly that call's arguments, which a worker makes in turn, so every
+// result and profile hash matches the client's own. Home rides along
+// because runner.TrainingJob builds from it: a training that differs
+// from home's only in the analysis re-analyzes home's profile.
 type JobSpec struct {
 	// ID names the job in the coordinator's queue. Leave empty on
 	// submission: the coordinator assigns the canonical Key(), which
-	// makes resubmission of the same spec idempotent.
-	ID string `json:"id,omitempty"`
-	// App is the application; Input the evaluation input.
-	App   workload.App `json:"app"`
-	Input int          `json:"input,omitempty"`
-	// Schemes names the schemes to simulate (core.SchemeNames).
-	Schemes []string `json:"schemes,omitempty"`
-	// Config is the operating point.
-	Config SimConfig `json:"config"`
+	// makes resubmission of the same work idempotent.
+	ID      string          `json:"id,omitempty"`
+	App     workload.App    `json:"app"`
+	Input   int             `json:"input,omitempty"`
+	Schemes []string        `json:"schemes,omitempty"`
+	Opts    core.Options    `json:"opts"`
+	Train   runner.Training `json:"train"`
+	Home    core.Options    `json:"home"`
 }
 
-// Validate checks the spec is well-formed and executable.
+// NewJobSpec returns the spec of one Runner.Schemes call, each option
+// set reduced to the value fields runner.CanonicalOptions renders: the
+// scheme instance, sink and telemetry outputs are dropped, the epoch
+// length is kept.
+func NewJobSpec(app workload.App, input int, names []string, opts core.Options, tr runner.Training, home core.Options) JobSpec {
+	values := func(o core.Options) core.Options {
+		o.Pipeline.Scheme, o.Pipeline.Sink = nil, nil
+		o.Pipeline.Telemetry = pipeline.Telemetry{EpochLength: o.Pipeline.Telemetry.EpochLength}
+		o.Telemetry = pipeline.Telemetry{EpochLength: o.Telemetry.EpochLength}
+		return o
+	}
+	return JobSpec{App: app, Input: input, Schemes: slices.Clone(names), Opts: values(opts),
+		Train: runner.Training{Input: tr.Input, Opts: values(tr.Opts)}, Home: values(home)}
+}
+
+// Validate checks the spec is one a worker can run: a known app, at
+// least one known scheme, and option sets whose BTB geometry the
+// simulator can build and that carry no observer or ledger span.
 func (s *JobSpec) Validate() error {
-	if !validApp(s.App) {
+	if !slices.Contains(workload.Apps(), s.App) {
 		return fmt.Errorf("twigd: unknown app %q", s.App)
 	}
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("twigd: job without schemes")
 	}
-	for _, sc := range s.Schemes {
-		if _, err := runner.SchemeMemoKey(sc, s.App, s.Input); err != nil {
-			return err
+	for _, o := range []struct {
+		name string
+		opts core.Options
+	}{{"opts", s.Opts}, {"train", s.Train.Opts}, {"home", s.Home}} {
+		if err := o.opts.BTB.Validate(); err != nil {
+			return fmt.Errorf("twigd: %s: %w", o.name, err)
+		}
+		if !runner.Cacheable(o.opts) || o.opts.Telemetry.Span != nil {
+			return fmt.Errorf("twigd: %s: carries an observer or a ledger span", o.name)
 		}
 	}
-	return nil
+	_, err := runner.TableMembers(s.Schemes, s.App, s.Input, s.Opts, s.Train, s.Home)
+	return err
 }
 
-// Key returns the spec's canonical queue ID: workload point, sorted
-// scheme set and a configuration fingerprint, so identical specs —
-// from any client — dedupe to one queue entry and differing
-// configurations never merge.
+// Key returns the spec's canonical queue ID: the workload point, the
+// sorted scheme names and a digest of the members' TableMembers content
+// hashes in sorted order. The same work from any client, whatever its
+// home or scheme order, dedupes to one queue entry, and work that
+// differs in any option never merges. Call it on a valid spec.
 func (s *JobSpec) Key() string {
-	names := append([]string(nil), s.Schemes...)
-	sort.Strings(names)
-	return fmt.Sprintf("%s/%d/%s/%s", s.App, s.Input, strings.Join(names, "+"), s.Config.fingerprint())
-}
-
-func validApp(app workload.App) bool {
-	for _, a := range workload.Apps() {
-		if a == app {
-			return true
-		}
+	ms, _ := runner.TableMembers(s.Schemes, s.App, s.Input, s.Opts, s.Train, s.Home)
+	names, hashes := slices.Clone(s.Schemes), make([]string, len(ms))
+	for i, m := range ms {
+		hashes[i] = m.Hash
 	}
-	return false
+	sort.Strings(names)
+	sort.Strings(hashes)
+	sum := sha256.Sum256([]byte(strings.Join(hashes, "+")))
+	return fmt.Sprintf("%s/%d/%s/%x", s.App, s.Input, strings.Join(names, "+"), sum[:6])
 }
 
 // Wire types for the coordinator's /v1 endpoints. Every request is a
@@ -203,8 +126,9 @@ type ClaimRequest struct {
 	Worker string `json:"worker"`
 }
 
-// ClaimResponse carries the claimed job, or a nil Job when nothing is
-// claimable right now (the worker backs off and polls again).
+// ClaimResponse carries the claimed job, or a nil Job when nothing
+// became claimable while the coordinator held the claim (the worker
+// asks again).
 type ClaimResponse struct {
 	Job        *JobSpec `json:"job,omitempty"`
 	LeaseTTLMs int64    `json:"lease_ttl_ms"`
@@ -229,12 +153,14 @@ type HeartbeatResponse struct {
 
 // CompleteRequest reports a finished job.
 type CompleteRequest struct {
-	Worker       string `json:"worker"`
-	Job          string `json:"job"`
-	OK           bool   `json:"ok"`
-	Error        string `json:"error,omitempty"`
-	Instructions int64  `json:"instructions,omitempty"`
-	SimsRun      int64  `json:"sims_run,omitempty"`
+	Worker string `json:"worker"`
+	Job    string `json:"job"`
+	OK     bool   `json:"ok"`
+	Error  string `json:"error,omitempty"`
+	// Instructions is the worker's cumulative simulated-instruction
+	// count; SimsRun counts the simulations this job executed.
+	Instructions int64 `json:"instructions,omitempty"`
+	SimsRun      int64 `json:"sims_run,omitempty"`
 }
 
 // CompleteResponse acknowledges completion; OK false means the lease
@@ -263,7 +189,22 @@ type QueueCounts struct {
 	Failed  int `json:"failed"`
 }
 
-// StatusResponse summarizes the coordinator for pollers (Client.Drain).
+// WaitRequest blocks until the named jobs settle (Client.Offer).
+type WaitRequest struct {
+	IDs []string `json:"ids"`
+}
+
+// WaitResponse ends a wait. Settled: every named job is done or
+// failed. Unknown: named jobs the queue does not hold, which a
+// restarted coordinator lost. Stalled: a named job is pending, no job
+// is leased and no worker is alive. None set: the wait window ended.
+type WaitResponse struct {
+	Settled bool     `json:"settled,omitempty"`
+	Unknown []string `json:"unknown,omitempty"`
+	Stalled bool     `json:"stalled,omitempty"`
+}
+
+// StatusResponse summarizes the coordinator's queue and fleet.
 type StatusResponse struct {
 	Queue QueueCounts `json:"queue"`
 	// AliveWorkers counts workers seen within the liveness window.

@@ -43,6 +43,7 @@ type Queue struct {
 	maxRequeues int
 	jobs        map[string]*queueEntry
 	order       []string
+	changed     chan struct{} // closed and replaced on every state change
 }
 
 // NewQueue returns a queue issuing leases of the given TTL.
@@ -54,7 +55,23 @@ func NewQueue(ttl time.Duration, maxRequeues int) *Queue {
 		ttl:         ttl,
 		maxRequeues: maxRequeues,
 		jobs:        make(map[string]*queueEntry),
+		changed:     make(chan struct{}),
 	}
+}
+
+// Changed returns a channel that is closed at the next state change:
+// a submission, claim, settlement or lease expiry. Read it before
+// reading the state it guards, so no change is missed.
+func (q *Queue) Changed() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.changed
+}
+
+// notify wakes every Changed reader; the caller holds q.mu.
+func (q *Queue) notify() {
+	close(q.changed)
+	q.changed = make(chan struct{})
 }
 
 // TTL returns the lease TTL.
@@ -65,7 +82,7 @@ func (q *Queue) TTL() time.Duration { return q.ttl }
 // untouched. A spec without an ID gets its canonical Key. Submission
 // is idempotent: a spec whose ID is already queued (in any state)
 // returns the existing ID untouched, so a client retrying a submit —
-// or two clients submitting the same matrix — never duplicates work.
+// or two clients submitting the same work — never duplicates it.
 // The returned IDs are parallel to specs.
 func (q *Queue) Submit(specs ...JobSpec) ([]string, error) {
 	for i := range specs {
@@ -86,6 +103,7 @@ func (q *Queue) Submit(specs ...JobSpec) ([]string, error) {
 		}
 		q.jobs[spec.ID] = &queueEntry{spec: spec, state: StatePending}
 		q.order = append(q.order, spec.ID)
+		q.notify()
 	}
 	return ids, nil
 }
@@ -103,6 +121,7 @@ func (q *Queue) Claim(worker string, now time.Time) *JobSpec {
 		e.state = StateLeased
 		e.worker = worker
 		e.expiry = now.Add(q.ttl)
+		q.notify()
 		spec := e.spec
 		return &spec
 	}
@@ -138,10 +157,11 @@ func (q *Queue) Complete(worker, id string, ok bool, errMsg string) bool {
 	e.worker = ""
 	if ok {
 		e.state = StateDone
-		return true
+	} else {
+		e.state = StateFailed
+		e.err = errMsg
 	}
-	e.state = StateFailed
-	e.err = errMsg
+	q.notify()
 	return true
 }
 
@@ -168,7 +188,31 @@ func (q *Queue) ExpireLeases(now time.Time) [][2]string {
 			e.state = StatePending
 		}
 	}
+	if len(expired) > 0 {
+		q.notify()
+	}
 	return expired
+}
+
+// Progress reports the named jobs as a wait answer, Stalled left to
+// the caller, and whether any of them is pending.
+func (q *Queue) Progress(ids []string) (resp WaitResponse, pending bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	resp.Settled = true
+	for _, id := range ids {
+		e, ok := q.jobs[id]
+		switch {
+		case !ok:
+			resp.Unknown = append(resp.Unknown, id)
+		case e.state == StateDone || e.state == StateFailed:
+			continue
+		default:
+			pending = pending || e.state == StatePending
+		}
+		resp.Settled = false
+	}
+	return resp, pending
 }
 
 // Counts returns the state histogram.

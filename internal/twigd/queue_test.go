@@ -5,18 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"twig/internal/runner"
 	"twig/internal/workload"
 )
 
 // queueSpec builds a minimal valid schemes job for queue-level tests
 // (nothing here executes; the spec just has to pass Validate).
 func queueSpec(app workload.App, input int) JobSpec {
-	return JobSpec{
-		App:     app,
-		Input:   input,
-		Schemes: []string{"baseline"},
-		Config:  SimConfig{Instructions: 50_000},
-	}
+	opts := window(50_000)
+	return NewJobSpec(app, input, []string{"baseline"}, opts, runner.Training{Opts: opts}, opts)
 }
 
 func TestQueueSubmitIdempotent(t *testing.T) {
@@ -35,15 +32,26 @@ func TestQueueSubmitIdempotent(t *testing.T) {
 	if c := q.Counts(); c.Pending != 1 {
 		t.Fatalf("counts = %+v, want exactly 1 pending", c)
 	}
-	// Differing configuration must NOT merge: fingerprints diverge.
+	// Differing configuration must NOT merge: member hashes diverge.
 	other := queueSpec(workload.Verilator, 0)
-	other.Config.Instructions = 60_000
+	other.Opts.Pipeline.MaxInstructions = 60_000
 	ids3, err := q.Submit(other)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ids3[0] == ids1[0] {
 		t.Fatal("different operating points merged into one queue entry")
+	}
+	// The same work from a client at another home merges: the queue ID
+	// digests the members' content hashes, not their memo IDs.
+	away := queueSpec(workload.Verilator, 0)
+	away.Home.PrefetchBuffer = 32
+	ids4, err := q.Submit(away)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids4[0] != ids1[0] {
+		t.Fatalf("the same baseline run from another home got ID %q, want %q", ids4[0], ids1[0])
 	}
 }
 

@@ -29,15 +29,20 @@ type Worker struct {
 	// CacheDir roots the worker's local disk cache ("" = memory-only;
 	// the remote tier still serves and receives everything).
 	CacheDir string
-	// Poll is the idle claim-poll base interval (0 = 200ms); it backs
-	// off exponentially with jitter while the queue is empty so an
-	// idle fleet does not hammer the coordinator in lockstep.
+	// Poll is the base interval between retries of a failed claim
+	// (0 = 200ms), backing off exponentially with jitter. An idle
+	// worker does not poll: the coordinator holds its claim open.
 	Poll time.Duration
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
 
 	instructions atomic.Int64 // cumulative simulated instructions
 	done         atomic.Int64 // completed leases
+
+	// run served the last job and home is its JobSpec.Home rendered by
+	// CanonicalOptions (see runnerFor); only Run's goroutine uses them.
+	run  *runner.Runner
+	home string
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -80,31 +85,24 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	idle := runner.Backoff{Base: poll, Max: 2 * time.Second, Factor: 2, Jitter: 0.5}
-	idleAttempt := 0
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		resp, err := w.Client.Claim(w.Name)
+	retry := runner.Backoff{Base: poll, Max: 2 * time.Second, Factor: 2, Jitter: 0.5}
+	failures := 0
+	for ctx.Err() == nil {
+		resp, err := w.Client.Claim(ctx, w.Name)
 		if err != nil {
 			w.logf("claim failed: %v", err)
-			idleAttempt++
-			if idle.Sleep(ctx, idleAttempt) != nil {
+			failures++
+			if retry.Sleep(ctx, failures) != nil {
 				return nil
 			}
 			continue
 		}
-		if resp.Job == nil {
-			idleAttempt++
-			if idle.Sleep(ctx, idleAttempt) != nil {
-				return nil
-			}
-			continue
+		failures = 0
+		if resp.Job != nil && ctx.Err() == nil {
+			w.serve(ctx, resp.Job, cache, ttl)
 		}
-		idleAttempt = 0
-		w.serve(ctx, resp.Job, cache, ttl)
 	}
+	return nil
 }
 
 // serve executes one claimed job under its lease: heartbeats flow at
@@ -112,11 +110,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // context) cancels the execution.
 func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, ttl time.Duration) {
 	w.logf("claimed %s", spec.ID)
-	// A fresh runner per job: job IDs are memo keys that do not embed
-	// the operating point, so in-process memoization must not outlive
-	// one spec. The cache (hash-keyed, shared, remote-attached) is the
-	// cross-job memory.
-	run := runner.New(runner.Options{Workers: w.Jobs, Cache: cache})
+	run := w.runnerFor(spec, cache)
+	before := run.Stats()
 
 	jobCtx, cancelJob := context.WithCancel(ctx)
 	defer cancelJob()
@@ -130,7 +125,7 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 			case <-jobCtx.Done():
 				return
 			case <-t.C:
-				total := w.instructions.Load() + run.Stats().SimInstructions
+				total := w.instructions.Load() + run.Stats().SimInstructions - before.SimInstructions
 				ok, err := w.Client.Heartbeat(w.Name, spec.ID, total)
 				if err == nil && !ok {
 					w.logf("lease on %s lost; abandoning", spec.ID)
@@ -145,37 +140,49 @@ func (w *Worker) serve(ctx context.Context, spec *JobSpec, cache *runner.Cache, 
 	cancelJob()
 	<-heartbeatDone
 
-	stats := run.Stats()
-	w.instructions.Add(stats.SimInstructions)
+	after := run.Stats()
+	w.instructions.Add(after.SimInstructions - before.SimInstructions)
 	req := CompleteRequest{
 		Worker:       w.Name,
 		Job:          spec.ID,
 		OK:           err == nil,
 		Instructions: w.instructions.Load(),
-		SimsRun:      stats.SimRuns,
+		SimsRun:      after.SimRuns - before.SimRuns,
 	}
 	if err != nil {
+		w.run = nil // the runner memoizes failures, cancellations included
 		req.Error = err.Error()
 		w.logf("job %s failed: %v", spec.ID, err)
 	} else {
 		w.done.Add(1)
-		w.logf("job %s done (%d sims run, %d cached)", spec.ID, stats.SimRuns, stats.SimHits)
+		w.logf("job %s done (%d sims run, %d cached)", spec.ID, req.SimsRun, after.SimHits-before.SimHits)
 	}
 	if _, cerr := w.Client.Complete(req); cerr != nil {
 		w.logf("completing %s: %v", spec.ID, cerr)
 	}
 }
 
-// runSpec executes one spec through the runner: one Runner.Schemes
-// call at the spec's options, trained on input 0 under them, the same
-// call the local execution paths (experiments Context, facade
-// RunMatrix) make, so the cache entries the remote tier receives are
-// indistinguishable from locally computed ones.
+// runnerFor returns the last job's runner while jobs share a home, else
+// a fresh one. The IDs runner.TableMembers and runner.TrainingJob
+// derive are unique within one home, so those jobs share one memo and
+// an app is built and analyzed once for all of them; the shared cache
+// is the memory across homes.
+func (w *Worker) runnerFor(spec *JobSpec, cache *runner.Cache) *runner.Runner {
+	home := runner.CanonicalOptions(spec.Home)
+	if w.run == nil || home != w.home {
+		w.run = runner.New(runner.Options{Workers: w.Jobs, Cache: cache})
+		w.home = home
+	}
+	return w.run
+}
+
+// runSpec makes the Runner.Schemes call the spec stands for, the call
+// the client would make, so the entries the remote tier receives equal
+// locally computed ones.
 func (w *Worker) runSpec(ctx context.Context, spec *JobSpec, run *runner.Runner) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	opts := spec.Config.Options()
-	_, err := run.Schemes(ctx, spec.App, spec.Input, spec.Schemes, opts, runner.Training{Opts: opts}, opts)
+	_, err := run.Schemes(ctx, spec.App, spec.Input, spec.Schemes, spec.Opts, spec.Train, spec.Home)
 	return err
 }

@@ -119,13 +119,13 @@ type Config struct {
 	CacheDir string
 	// Coordinator, when non-empty, is a twigd coordinator's base URL
 	// (e.g. "http://host:9090"). RunMatrix then attaches the
-	// coordinator's blob store as the cache's remote tier, submits the
-	// matrix to the fleet, waits for it to drain, and replays the
-	// fleet's results as remote cache hits — byte-identical to a local
-	// run, for any worker count. An unreachable coordinator or a fleet
-	// with no alive workers degrades gracefully to local execution.
-	// Cells carrying observable telemetry (TraceWriter) are never
-	// distributed.
+	// coordinator's blob store as the cache's remote tier, offers the
+	// fleet each (app, input) group whose cells miss every cache tier,
+	// waits for it to settle, and replays the fleet's results as remote
+	// cache hits — byte-identical to a local run, for any worker count.
+	// An unreachable coordinator or a fleet with no alive workers
+	// degrades gracefully to local execution. Cells carrying observable
+	// telemetry (TraceWriter) are never distributed.
 	Coordinator string
 	// Sample configures interval-sampled estimation (System.Sampled):
 	// instead of simulating the whole window in detail, measured
@@ -162,37 +162,21 @@ func DefaultConfig() Config {
 	return Config{Instructions: 1_000_000}
 }
 
-// simConfig projects the Config onto the serializable operating point
-// twigd ships to fleet workers. options() below delegates to its
-// Options() mapping, so a worker decoding this struct reconstructs
-// exactly the core.Options this process evaluates under — the content
-// hashes line up by construction.
-func (c Config) simConfig() twigd.SimConfig {
-	return twigd.SimConfig{
-		Instructions:      c.Instructions,
-		BTBEntries:        c.BTBEntries,
-		BTBWays:           c.BTBWays,
-		FTQSize:           c.FTQSize,
-		PrefetchBuffer:    c.PrefetchBuffer,
-		PrefetchDistance:  c.PrefetchDistance,
-		CoalesceMaskBits:  c.CoalesceMaskBits,
-		DisableCoalescing: c.DisableCoalescing,
-		SampleRate:        c.SampleRate,
-		Epoch:             c.Epoch,
-		Sample: sampling.Spec{
-			Interval:   c.Sample.Interval,
-			Period:     c.Sample.Period,
-			Seed:       c.Sample.Seed,
-			Warmup:     c.Sample.Warmup,
-			Confidence: c.Sample.Confidence,
-		},
-	}
-}
-
 // options maps the Config onto core.Options, rejecting a BTB geometry
 // the simulator cannot build before anything runs.
 func (c Config) options() (core.Options, error) {
-	opts := c.simConfig().Options()
+	opts := core.DefaultOptions()
+	setPositive(&opts.Pipeline.MaxInstructions, c.Instructions)
+	setPositive(&opts.BTB.Entries, c.BTBEntries)
+	setPositive(&opts.BTB.Ways, c.BTBWays)
+	setPositive(&opts.Pipeline.FTQSize, c.FTQSize)
+	setPositive(&opts.PrefetchBuffer, c.PrefetchBuffer)
+	setPositive(&opts.Opt.PrefetchDistance, c.PrefetchDistance)
+	setPositive(&opts.Opt.CoalesceMaskBits, c.CoalesceMaskBits)
+	setPositive(&opts.SampleRate, c.SampleRate)
+	setPositive(&opts.Telemetry.EpochLength, c.Epoch)
+	opts.Opt.DisableCoalescing = c.DisableCoalescing
+	opts.Sample = sampling.Spec(c.Sample)
 	if err := opts.BTB.Validate(); err != nil {
 		return core.Options{}, fmt.Errorf("twig: %w", err)
 	}
@@ -200,6 +184,14 @@ func (c Config) options() (core.Options, error) {
 		opts.Telemetry.Tracer = telemetry.NewTracer(c.TraceWriter)
 	}
 	return opts, nil
+}
+
+// setPositive sets *dst to v when v > 0: a zero Config field keeps the
+// paper's default.
+func setPositive[T int | int64 | float64](dst *T, v T) {
+	if v > 0 {
+		*dst = v
+	}
 }
 
 // Result summarizes one simulation run.
@@ -647,23 +639,14 @@ func RunMatrix(cfg Config, apps []App, schemes []string, inputs []int) (map[Matr
 	if err != nil {
 		return nil, fmt.Errorf("twig: %w", err)
 	}
-	ctx := context.Background()
-	if cfg.Coordinator != "" && runner.Cacheable(opts) {
-		// Distribution is an accelerator, not a dependency: attach the
-		// coordinator's blob store as the cache's remote tier, offer the
-		// matrix to the fleet, and wait for it to drain. The local
-		// execution below then replays fleet results as remote cache
-		// hits and computes anything the fleet did not finish. If the
-		// coordinator is unreachable (or the fleet is dead), detach and
-		// run purely locally — same results, just slower.
-		client := twigd.NewClient(cfg.Coordinator)
-		cache.SetRemote(client.Blobs(), runner.DefaultRemoteBackoff(), -1)
-		specs := twigd.MatrixSpecs(cfg.simConfig(), apps, schemes, inputs)
-		if err := client.Drain(ctx, specs, nil); err != nil && client.Ping() != nil {
-			cache.SetRemote(nil, runner.Backoff{}, 0)
-		}
+	// The runner offers the fleet each group the cache misses; what the
+	// fleet does not finish, or an unreachable coordinator, runs here.
+	var fleet runner.Fleet
+	if cfg.Coordinator != "" {
+		fleet, _ = twigd.Attach(cfg.Coordinator, cache)
 	}
-	run := runner.New(runner.Options{Workers: cfg.Jobs, Cache: cache})
+	ctx := context.Background()
+	run := runner.New(runner.Options{Workers: cfg.Jobs, Cache: cache, Fleet: fleet})
 
 	// One group per (app, input) point: its cells share a stream.
 	type point struct {
